@@ -22,19 +22,20 @@ def main():
     stream = make_stream(SEED, 0)
     state = lookdown.sample_stationary_state(N, WINDOW[0], stream)
     log = lookdown.simulate_events(N, WINDOW, stream)
-    path = treelength.build_path(state.copy(), log)
+    path = treelength.build_path(state, log)
 
     print(f"ensemble of N={N} lines, window {WINDOW}, {log.n_events} events")
     print(f"initial length l(0) = {path.eval(np.array([0.0]))[0] :.6f}")
     print()
     print("  time     pair      jump      exit age  root fix")
-    for ev_time, src, tgt, jump in zip(
-        log.times, log.sources, log.targets, path.jumps()
+    for ev_time, src, tgt, size, age, root in zip(
+        log.times, log.sources, log.targets,
+        path.jump_sizes, path.exit_ages, path.root_flags,
     ):
-        mark = "yes" if jump.root_corrected else ""
+        mark = "yes" if root else ""
         print(
             f"  {ev_time:7.4f}  {src:>2d} -> {tgt:<2d}  "
-            f"{-jump.magnitude:+9.4f}  {jump.exit_age:8.4f}  {mark}"
+            f"{-size:+9.4f}  {age:8.4f}  {mark}"
         )
 
     # Between events the length grows at slope exactly N: every one of the
@@ -46,22 +47,20 @@ def main():
     print()
     print(f"drift slope before the first event: {slope:.12f} (exact N = {N})")
 
-    total_jump = sum(j.magnitude for j in path.jumps())
+    total_jump = path.jump_sizes.sum()
     v_end = path.final_value
     drift = N * (WINDOW[1] - WINDOW[0])
     print(f"final length     {v_end:.6f}")
     print(f"identity check   l(0) + N*span - sum(jumps) "
           f"= {v0 + drift - total_jump:.6f}")
 
-    # The same quantity, reconstructed independently from the final state
-    # of a fresh replay of the identical event log (plus the drift from the
-    # last event to the end of the window).
-    replay = state.copy()
-    for ev in log:
-        replay.step(ev)
-    tail = N * (WINDOW[1] - replay.now)
-    print(f"replayed length  "
-          f"{treelength.tree_length_of_state(replay) + tail:.6f}")
+    # The same quantity from an independent route: the births at the end of
+    # the window resolved backward from the event log, with no forward
+    # replay at all.
+    births = lookdown.resolve_final_state(log, state.births)
+    end = WINDOW[1]
+    replayed = (N - 1) * end - births.sum() + (end - births.min())
+    print(f"replayed length  {replayed:.6f}")
 
 
 if __name__ == "__main__":

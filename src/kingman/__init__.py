@@ -3,9 +3,10 @@
 The package has three layers:
 
 * engine: :mod:`kingman.rng` (splittable seeded streams),
-  :mod:`kingman.lookdown` (finite-N event replay and infinite-level line
-  sampling), :mod:`kingman.treelength` (exact evolving tree-length paths and
-  an independent backward-reconstruction oracle);
+  :mod:`kingman.lookdown` (finite-N event logs and their backward
+  resolution, infinite-level line sampling), :mod:`kingman.treelength`
+  (exact tree-length paths replayed from event logs, and an independent
+  backward-reconstruction oracle);
 * statistics: :mod:`kingman.stats` (quadratic variation, KS machinery,
   Poissonity and independence checks, scaling fits);
 * harness: :mod:`kingman.experiments` (seeded experiment runners emitting

@@ -15,7 +15,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
+except ImportError:  # numba is optional
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

@@ -26,6 +26,7 @@ from . import __version__
 from .lookdown import (
     EventLog,
     LookdownState,
+    default_burn_in,
     pair_count,
     resolve_final_state,
     sample_infinite_deaths,
@@ -423,22 +424,31 @@ def _squared_life_sums_one_rep(stream, k_max: int, window) -> np.ndarray:
     resolved per birth level 2..k_max.
 
     Lines of level k are born at Poisson rate (k - 1) on a window padded
-    backward by the level's burn-in, so deaths inside the window are
-    captured. Life lengths use a per-level truncation tolerance 2/(k + 7),
-    which puts the truncation level at k + 8 for every k: exactly eight
-    exponential stages plus the deterministic tail mean. The relative bias
-    this leaves in the squared-sum scale is far below the slope tolerance.
+    backward by the level's burn-in (:func:`default_burn_in`), so deaths
+    inside the window are captured. Life lengths use a per-level truncation
+    tolerance 2/(k + 7), which puts the truncation level at k + 8 for every
+    k: exactly eight exponential stages plus the deterministic tail mean.
+    The relative bias this leaves in the squared-sum scale is far below the
+    slope tolerance.
     """
     t0, t1 = window
     span = t1 - t0
     gen = stream.generator
     levels = np.arange(2, k_max + 1, dtype=np.int64)
     lev_f = levels.astype(np.float64)
-    burn = np.minimum(50.0, 2.0 * (lev_f + 40.0) / (lev_f * (lev_f - 1.0) / 2.0))
+    burn = default_burn_in(levels)
     counts = gen.poisson((lev_f - 1.0) * (span + burn))
     tails = 2.0 / (lev_f + 7.0)
+    stage = lev_f[:, None] + np.arange(8, dtype=np.float64)[None, :]
+    inv = 2.0 / (stage * (stage - 1.0))
     totals = np.zeros(k_max - 1)
     block_lines = 1_200_000
+    # Draw buffers are reused across blocks: the draws fill them in the same
+    # order as fresh arrays would, without touching new pages every block.
+    cap = max(block_lines, int(counts.max()))
+    u_buf = np.empty(cap)
+    e_buf = np.empty((cap, 8))
+    life_buf = np.empty(cap)
     start = 0
     n_rows = k_max - 1
     while start < n_rows:
@@ -450,19 +460,25 @@ def _squared_life_sums_one_rep(stream, k_max: int, window) -> np.ndarray:
         c = counts[start:stop]
         m = int(c.sum())
         if m > 0:
-            b_rep = np.repeat(burn[start:stop], c)
-            births = t1 - gen.random(m) * (span + b_rep)
-            stage = lev_f[start:stop, None] + np.arange(8, dtype=np.float64)[None, :]
-            inv = 2.0 / (stage * (stage - 1.0))
-            inv_rep = np.repeat(inv, c, axis=0)
-            draws = gen.standard_exponential((m, 8))
-            lives = np.einsum("ij,ij->i", draws, inv_rep)
+            births = gen.random(out=u_buf[:m])
+            births *= span + np.repeat(burn[start:stop], c)
+            np.subtract(t1, births, out=births)
+            draws = gen.standard_exponential(out=e_buf[:m])
+            # Stage rates are shared by every line of a level, so each
+            # level's lives are one matrix-vector product on its rows.
+            lives = life_buf[:m]
+            lo = 0
+            for row, n_lines in zip(range(start, stop), c.tolist()):
+                hi = lo + n_lines
+                np.einsum("ij,j->i", draws[lo:hi], inv[row], out=lives[lo:hi])
+                lo = hi
             lives += np.repeat(tails[start:stop], c)
             deaths = births + lives
-            mask = (deaths > t0) & (deaths <= t1)
+            inside = (deaths > t0) & (deaths <= t1)
             idx = np.repeat(np.arange(stop - start), c)
             totals[start:stop] += np.bincount(
-                idx[mask], weights=lives[mask] ** 2, minlength=stop - start
+                idx, weights=np.where(inside, lives * lives, 0.0),
+                minlength=stop - start,
             )
         start = stop
     return totals
@@ -744,7 +760,8 @@ def _crosscheck_block(args):
         t0, t1 = win
         stream = make_stream(seed, derive_stream_id(ORDINALS["crosscheck"], 0))
         log = simulate_events(n, (t0 - warmup, t1), stream)
-        path = build_path(LookdownState.degenerate(n, t0 - warmup), log)
+        start = LookdownState.degenerate(n, t0 - warmup)
+        path = build_path(start, log)
         qs = t0 + (t1 - t0) * stream.generator.random(queries)
         recon = np.array([reconstruct_length_backward(log, float(q)) for q in qs])
         max_rel = float(np.max(np.abs(path.eval(qs) - recon) / np.abs(recon)))
@@ -762,8 +779,15 @@ def _crosscheck_block(args):
             n, log.t_start, log.t_end,
             log.times[keep], log.sources[keep], log.targets[keep],
         )
-        broken = build_path(LookdownState.degenerate(n, t0 - warmup), damaged)
-        neg = float(np.max(np.abs(broken.eval(qs) - recon) / np.abs(recon)))
+        broken = build_path(start, damaged)
+        # The control is also queried at the dropped event's own time, where
+        # the damaged path misses the full jump; at the random query times
+        # the displaced line may already have exited, erasing the damage.
+        t_drop = float(log.times[drop])
+        neg_qs = np.append(qs, t_drop)
+        neg_recon = np.append(recon, reconstruct_length_backward(log, t_drop))
+        neg_err = np.abs(broken.eval(neg_qs) - neg_recon) / np.abs(neg_recon)
+        neg = float(np.max(neg_err))
         return "exact", max_rel, neg
     _, seed, counter, kind, n, win, size = args
     stream = make_stream(seed, derive_stream_id(ORDINALS["crosscheck"], counter))

@@ -1,10 +1,13 @@
-"""The look-down particle system: events, state replay, line sampling.
+"""The look-down particle system: event logs, replay starts, line sampling.
 
 Levels 1..N each carry one line. Ordered pairs i < k ring at unit rate; at a
 ring the line at level i begets a new line at level k, lines at levels >= k
 are pushed up one, and the line formerly at level N exits. Level 1 is
-immortal and holds no birth time; the state tracks the birth times of the
-lines at levels 2..N.
+immortal and holds no birth time, so the finite-N state is the list of
+birth times of the lines at levels 2..N. :class:`LookdownState` holds that
+list at a window start; :func:`~kingman.treelength.build_path` replays a
+log forward from it, and :func:`resolve_final_state` computes the final
+list backward from the log alone.
 
 Two samplers cover the infinite-level system: :func:`sample_line_lifelength`
 draws the total life length of a line born at a given level (sum of
@@ -16,9 +19,8 @@ over a window via Poisson births on a burn-in-extended window.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,7 @@ from . import _kernels
 from .rng import RngStream, sample_poisson_times
 
 __all__ = [
-    "Event",
     "EventLog",
-    "LineRecord",
     "LookdownState",
     "PointProcessSample",
     "SequencingError",
@@ -58,21 +58,6 @@ def pair_count(n: int) -> int:
 # Events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Event:
-    """A birth arrow: at `time`, level `source` begets a line at `target`."""
-
-    time: float
-    source: int
-    target: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.source < self.target):
-            raise ValueError(
-                f"need 1 <= source < target, got ({self.source}, {self.target})"
-            )
-
-
 def decode_pair(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map uniform integers in [0, C(N,2)) to ordered pairs (source, target).
 
@@ -98,8 +83,8 @@ def decode_pair(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class EventLog:
     """Time-ordered birth events of the N-level system on a window.
 
-    Canonical storage is struct-of-arrays (times, sources, targets) for
-    replay speed; Event objects are materialized on demand.
+    Storage is struct-of-arrays (times, sources, targets); the event at
+    times[i] is a birth from level sources[i] into level targets[i].
     """
 
     N: int
@@ -140,58 +125,6 @@ class EventLog:
     def __len__(self) -> int:
         return self.n_events
 
-    def __iter__(self):
-        for idx in range(self.n_events):
-            yield Event(
-                float(self.times[idx]), int(self.sources[idx]), int(self.targets[idx])
-            )
-
-    @classmethod
-    def from_events(
-        cls, N: int, window: tuple[float, float], events: list[Event]
-    ) -> "EventLog":
-        return cls(
-            N=N,
-            t_start=float(window[0]),
-            t_end=float(window[1]),
-            times=np.array([e.time for e in events], dtype=np.float64),
-            sources=np.array([e.source for e in events], dtype=np.int64),
-            targets=np.array([e.target for e in events], dtype=np.int64),
-        )
-
-    # -- CSV interface (columns: time,source,target) -----------------------
-
-    def write_csv(self, fp: io.TextIOBase, header_comments: dict | None = None) -> None:
-        from .reports import format_float, write_header_comments
-
-        meta = {"N": self.N, "t_start": self.t_start, "t_end": self.t_end}
-        if header_comments:
-            meta.update(header_comments)
-        write_header_comments(fp, meta)
-        fp.write("time,source,target\n")
-        for idx in range(self.n_events):
-            fp.write(
-                f"{format_float(self.times[idx])},"
-                f"{int(self.sources[idx])},{int(self.targets[idx])}\n"
-            )
-
-    @classmethod
-    def read_csv(cls, fp: io.TextIOBase) -> "EventLog":
-        from .reports import read_header_comments
-
-        meta, rows = read_header_comments(fp, expected_header="time,source,target")
-        times = np.array([float(r[0]) for r in rows])
-        sources = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        targets = np.array([int(r[2]) for r in rows], dtype=np.int64)
-        return cls(
-            N=int(meta["N"]),
-            t_start=float(meta["t_start"]),
-            t_end=float(meta["t_end"]),
-            times=times,
-            sources=sources,
-            targets=targets,
-        )
-
 
 def simulate_events(
     N: int, window: tuple[float, float], stream: RngStream
@@ -222,123 +155,41 @@ def simulate_events(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LineRecord:
-    """A finished line: born at `birth_level`, exited when pushed past N.
+class LookdownState:
+    """Birth times of the lines at levels 2..N at time `now`: a replay start.
 
-    For lines sampled in the infinite system, `truncation_level` records the
-    level J at which the exponential sum was cut and `tail_bias_bound` the
-    replaced tail mean 2/(J-1); finite-N replay lines carry None and 0.
+    Immutable; :func:`~kingman.treelength.build_path` replays a log from it
+    on a private copy of the births.
     """
 
-    birth_time: float
-    birth_level: int
-    exit_time: float
-    life_length: float
-    truncation_level: int | None = None
-    tail_bias_bound: float = 0.0
+    N: int
+    now: float
+    births: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.birth_level < 2:
-            raise ValueError("birth_level must be at least 2")
-        if self.exit_time < self.birth_time:
-            raise ValueError("exit precedes birth")
-        expect = self.exit_time - self.birth_time
-        tol = 1e-12 * max(1.0, abs(expect))
-        if abs(self.life_length - expect) > tol:
-            raise ValueError("life_length inconsistent with birth/exit times")
-
-
-class LookdownState:
-    """Birth times of the lines at levels 2..N at the current time.
-
-    Maintains a running sum of births (tree length in O(1)) and the minimum
-    birth time (the MRCA time of the current population). Mutated in place
-    by :meth:`step`, which returns the exited line's record.
-    """
-
-    __slots__ = ("N", "now", "_births", "_levels", "_sum", "_min")
-
-    def __init__(self, N: int, now: float, births, birth_levels=None) -> None:
-        if N < 2:
+        if self.N < 2:
             raise ValueError("N must be at least 2")
-        births = [float(x) for x in births]
-        if len(births) != N - 1:
-            raise ValueError(f"need {N - 1} birth times for levels 2..{N}")
-        if any(x > now for x in births):
+        births = tuple(float(x) for x in self.births)
+        if len(births) != self.N - 1:
+            raise ValueError(f"need {self.N - 1} birth times for levels 2..{self.N}")
+        if any(x > self.now for x in births):
             raise ValueError("birth times cannot exceed the current time")
-        if birth_levels is None:
-            birth_levels = list(range(2, N + 1))
-        birth_levels = [int(x) for x in birth_levels]
-        if len(birth_levels) != N - 1 or any(x < 2 for x in birth_levels):
-            raise ValueError("birth levels must list one level >= 2 per line")
-        self.N = N
-        self.now = float(now)
-        self._births = births
-        self._levels = birth_levels
-        self._sum = math.fsum(births)
-        self._min = min(births)
-
-    # -- constructors -------------------------------------------------------
+        object.__setattr__(self, "now", float(self.now))
+        object.__setattr__(self, "births", births)
 
     @classmethod
     def degenerate(cls, N: int, t0: float) -> "LookdownState":
         """All lines born at t0. Use as a pre-window replay start only."""
         return cls(N, t0, [t0] * (N - 1))
 
-    # -- views --------------------------------------------------------------
-
-    @property
-    def birth_time_of_level(self) -> np.ndarray:
-        """Birth times indexed by level: entry j is level j+2's birth."""
-        return np.asarray(self._births, dtype=np.float64)
-
-    @property
-    def birth_level_of_level(self) -> np.ndarray:
-        return np.asarray(self._levels, dtype=np.int64)
-
     @property
     def sum_births(self) -> float:
-        return self._sum
+        return math.fsum(self.births)
 
     @property
     def min_birth(self) -> float:
         """Earliest birth among current lines: the MRCA time."""
-        return self._min
-
-    def copy(self) -> "LookdownState":
-        return LookdownState(self.N, self.now, list(self._births), list(self._levels))
-
-    # -- dynamics ------------------------------------------------------------
-
-    def step(self, event: Event) -> LineRecord:
-        """Apply one event: insert at the target, push up, exit level N.
-
-        The state is mutated in place; the exited line's record is returned.
-        An event at or before the current time is a sequencing error.
-        """
-        if event.time <= self.now:
-            raise SequencingError(
-                f"event at {event.time} does not advance time from {self.now}"
-            )
-        if event.target > self.N:
-            raise ValueError(f"target {event.target} exceeds N={self.N}")
-        births, levels = self._births, self._levels
-        exited_birth = births.pop()
-        exited_level = levels.pop()
-        births.insert(event.target - 2, event.time)
-        levels.insert(event.target - 2, event.target)
-        self._sum += event.time - exited_birth
-        if exited_birth <= self._min:
-            # The oldest line exited; rescan. The inserted time never lowers
-            # the minimum because event.time > now >= every birth.
-            self._min = min(births)
-        self.now = event.time
-        return LineRecord(
-            birth_time=exited_birth,
-            birth_level=exited_level,
-            exit_time=event.time,
-            life_length=event.time - exited_birth,
-        )
+        return min(self.births)
 
 
 def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
@@ -364,28 +215,21 @@ def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
 
 
 def sample_stationary_state(N: int, t0: float, stream: RngStream) -> "LookdownState":
-    """Draw the stationary state at t0 (see :func:`stationary_births`).
-
-    Birth levels are not resolved by this construction (a stationary line's
-    original birth level is below its current level); they are set to 2 as a
-    conservative placeholder, which only affects LineRecord metadata of lines
-    that exit later, never the tree length.
-    """
-    births = stationary_births(N, t0, stream)
-    return LookdownState(N, t0, births, [2] * (N - 1))
+    """Draw the stationary state at t0 (see :func:`stationary_births`)."""
+    return LookdownState(N, t0, stationary_births(N, t0, stream))
 
 
 def resolve_final_state(log: EventLog, initial_births) -> np.ndarray:
     """Births of levels 2..N at log.t_end, computed backward from the log.
 
-    Dual route to forward replay. Scanning events last-to-first, the final
-    lines' ancestral trajectories occupy the bottom block of levels
-    {1, ..., K}; an event with target k <= K is the birth of the final line
-    whose trajectory sits at block level k (the (k-1)-th smallest unresolved
-    final level), and shrinks the block. Final levels still unresolved at
-    the window start sat at their block levels then, so they inherit the
-    initial births of levels 2..K in order. Matches forward replay exactly,
-    float for float.
+    Dual route to the forward replay in :func:`~kingman.treelength.build_path`.
+    Scanning events last-to-first, the final lines' ancestral trajectories
+    occupy the bottom block of levels {1, ..., K}; an event with target
+    k <= K is the birth of the final line whose trajectory sits at block
+    level k (the (k-1)-th smallest unresolved final level), and shrinks the
+    block. Final levels still unresolved at the window start sat at their
+    block levels then, so they inherit the initial births of levels 2..K in
+    order. Matches forward replay exactly, float for float.
     """
     initial = [float(x) for x in initial_births]
     if len(initial) != log.N - 1:
@@ -462,17 +306,21 @@ def _lifelength_matrix(
     return out
 
 
-def default_burn_in(level: int, chernoff_exponent: float = 40.0) -> float:
+def default_burn_in(level, chernoff_exponent: float = 40.0):
     """Burn-in long enough that a line born before it is dead at the window.
 
     From the Chernoff bound P(T_level > B) <= exp(level - C(level,2) B / 2),
     taking B = 2 (level + c) / C(level,2) gives miss probability <= e^-c.
     The result is capped at 50, the documented safe span for level 2.
+    `level` is one level (a float is returned) or an array of levels (an
+    array of burn-ins is returned).
     """
-    if level < 2:
+    lev = np.asarray(level, dtype=np.float64)
+    if np.any(lev < 2):
         raise ValueError("level must be at least 2")
-    bound = 2.0 * (level + chernoff_exponent) / pair_count(level)
-    return min(50.0, bound)
+    bound = 2.0 * (lev + chernoff_exponent) / (lev * (lev - 1.0) / 2.0)
+    burn = np.minimum(50.0, bound)
+    return float(burn) if burn.ndim == 0 else burn
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "make_stream",
     "mix64",
     "derive_stream_id",
-    "sample_exponential",
     "sample_poisson_times",
 ]
 
@@ -97,13 +96,6 @@ class RngStream:
 def make_stream(root_seed: int, stream_id: int) -> RngStream:
     """Create the stream identified by (root_seed, stream_id)."""
     return RngStream(root_seed=root_seed, stream_id=stream_id)
-
-
-def sample_exponential(stream: RngStream, rate: float) -> float:
-    """One Exp(rate) draw by inverse CDF: -ln(U)/rate with U in (0, 1]."""
-    if rate <= 0.0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-    return float(-math.log(1.0 - stream.generator.random()) / rate)
 
 
 def sample_poisson_times(

@@ -2,8 +2,8 @@
 
 Pure functions over immutable inputs: Kolmogorov-Smirnov machinery with the
 asymptotic p-value series, Poissonity and independence checks for death
-processes, quadratic variation over partitions, cumulative squared
-life-length sums, the variance-scaling ratio, and log-slope fits.
+processes, quadratic variation over partitions, the variance-scaling ratio,
+log-slope fits, and a mergeable mean/variance accumulator.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "poisson_suite",
     "quadratic_variation",
     "qv_mesh_scan",
-    "sum_squared_lifelengths",
     "variance_scaling",
 ]
 
@@ -131,10 +130,6 @@ class Partition:
         object.__setattr__(self, "points", pts)
 
     @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.points)))
-
-    @property
     def n_cells(self) -> int:
         return self.points.size - 1
 
@@ -150,14 +145,6 @@ class Partition:
         if level < 0:
             raise ValueError("dyadic level must be nonnegative")
         return cls.uniform(start, end, 2**level)
-
-    @classmethod
-    def random(cls, start: float, end: float, n_cells: int, stream) -> "Partition":
-        """Random partition: n_cells - 1 uniform interior points, sorted."""
-        if n_cells < 1:
-            raise ValueError("need at least one cell")
-        interior = np.sort(stream.generator.uniform(start, end, size=n_cells - 1))
-        return cls(np.concatenate([[start], interior, [end]]))
 
 
 def quadratic_variation(path, partition: Partition) -> float:
@@ -180,36 +167,6 @@ def qv_mesh_scan(path, window: tuple[float, float], levels: Sequence[int]):
         part = Partition.dyadic(s, t, m)
         rows.append(((t - s) * 2.0 ** (-m), quadratic_variation(path, part)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Squared life-length sums
-# ---------------------------------------------------------------------------
-
-def sum_squared_lifelengths(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative squared life-length sums over levels.
-
-    `samples` holds one PointProcessSample per level for levels 2..K over a
-    common window. Returns (levels, S) where S[j] is the sum of squared life
-    lengths of all lines dying in the window at levels up to levels[j].
-    Empty input gives empty arrays.
-    """
-    if not samples:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    levels = np.array([s.level for s in samples], dtype=np.int64)
-    order = np.argsort(levels)
-    levels = levels[order]
-    if np.unique(levels).size != levels.size:
-        raise ValueError("duplicate levels in sample list")
-    if levels[0] != 2 or not np.all(np.diff(levels) == 1):
-        raise ValueError("levels must be contiguous starting at 2")
-    windows = {(float(s.window[0]), float(s.window[1])) for s in samples}
-    if len(windows) != 1:
-        raise ValueError("samples must share one window")
-    per_level = np.array(
-        [float(np.sum(np.square(samples[i].life_lengths))) for i in order]
-    )
-    return levels, np.cumsum(per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +357,13 @@ def variance_scaling(
 
 @dataclass
 class RunningStats:
-    """Welford accumulator for mean and variance with associative merge."""
+    """Mean and variance accumulator with an associative pairwise merge."""
 
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
     _min: float = field(default=math.inf, repr=False)
     _max: float = field(default=-math.inf, repr=False)
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-
-    def add_many(self, xs: np.ndarray) -> None:
-        other = RunningStats.from_array(xs)
-        self.merge(other)
 
     @classmethod
     def from_array(cls, xs: np.ndarray) -> "RunningStats":

@@ -6,7 +6,8 @@ Between events every term grows at unit rate, so l drifts upward at slope
 exactly N; an event removes the exiting line's age and, when the exiting
 line was the oldest, also shortens the root stem to the next-oldest birth.
 The path is therefore piecewise linear with negative jumps, and
-:func:`build_path` materializes it exactly from an event log.
+:func:`build_path` materializes it exactly by replaying an event log on the
+list of birth times.
 
 :func:`reconstruct_length_backward` recomputes l(t) from the log alone by
 genealogy counting, sharing no state machinery with the forward replay; it
@@ -25,7 +26,6 @@ from .rng import RngStream
 
 __all__ = [
     "InsufficientHistoryError",
-    "Jump",
     "TreeLengthPath",
     "build_path",
     "reconstruct_length_backward",
@@ -46,21 +46,6 @@ def tree_length_of_state(state: LookdownState) -> float:
         - state.sum_births
         + (state.now - state.min_birth)
     )
-
-
-@dataclass(frozen=True)
-class Jump:
-    """One downward jump of the length path.
-
-    magnitude is the positive drop: the exiting line's age (exit_age) plus,
-    when that line was the oldest (root_corrected), the root stem shortening
-    to the next-oldest birth.
-    """
-
-    time: float
-    magnitude: float
-    exit_age: float
-    root_corrected: bool
 
 
 @dataclass(frozen=True)
@@ -109,14 +94,6 @@ class TreeLengthPath:
     def n_jumps(self) -> int:
         return int(self.jump_times.size)
 
-    def jumps(self) -> list[Jump]:
-        return [
-            Jump(float(t), float(s), float(a), bool(r))
-            for t, s, a, r in zip(
-                self.jump_times, self.jump_sizes, self.exit_ages, self.root_flags
-            )
-        ]
-
     def eval(self, t):
         """Path value at scalar or array t inside [t0, t1] (cadlag)."""
         arr = np.asarray(t, dtype=np.float64)
@@ -139,7 +116,10 @@ def build_path(
     """Replay a log from a state and record the exact length path.
 
     The initial state must sit at the log's window start and share its N.
-    The caller's state is not mutated.
+    Each event pops the birth at level N (the exiting line), inserts the
+    event time at the target level, and drops the length by the exiting
+    line's age; when that line was the oldest, the root stem also shortens
+    to the next-oldest birth, found by a rescan of the list.
     """
     if initial_state.N != log.N:
         raise ValueError("state and log disagree on N")
@@ -147,20 +127,28 @@ def build_path(
         raise ValueError(
             f"state at {initial_state.now} does not start the window {log.t_start}"
         )
-    state = initial_state.copy()
-    v0 = tree_length_of_state(state)
+    v0 = tree_length_of_state(initial_state)
     if compensated:
         v0 -= 2.0 * math.log(log.N)
     n = log.n_events
-    sizes = np.empty(n)
-    ages = np.empty(n)
-    flags = np.empty(n, dtype=bool)
-    for idx, event in enumerate(log):
-        old_min = state.min_birth
-        record = state.step(event)
-        ages[idx] = record.life_length
-        flags[idx] = record.birth_time <= old_min
-        sizes[idx] = record.life_length + (state.min_birth - old_min)
+    exited = np.empty(n)
+    sizes = np.zeros(n)  # root-stem corrections until the ages are added
+    flags = np.zeros(n, dtype=bool)
+    births = list(initial_state.births)
+    oldest = initial_state.min_birth
+    for idx, (t, k) in enumerate(zip(log.times.tolist(), log.targets.tolist())):
+        birth = births.pop()
+        births.insert(k - 2, t)
+        exited[idx] = birth
+        if birth <= oldest:
+            # The inserted time never lowers the minimum: it is later than
+            # every birth in the list.
+            new_oldest = min(births)
+            sizes[idx] = new_oldest - oldest
+            flags[idx] = True
+            oldest = new_oldest
+    ages = np.subtract(log.times, exited, out=exited)
+    sizes += ages
     return TreeLengthPath(
         N=log.N,
         t0=log.t_start,

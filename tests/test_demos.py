@@ -1,0 +1,33 @@
+"""Smoke tests: the walkthrough scripts in demos/ run to completion."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run_demo(name: str) -> str:
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", name)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["length_law.py", "death_process.py"])
+def test_demo_runs(name):
+    assert _run_demo(name)
+
+
+def test_path_anatomy_backward_length_matches_path():
+    lines = _run_demo("path_anatomy.py").splitlines()
+    final = [ln.split()[-1] for ln in lines if ln.startswith("final length")]
+    replayed = [ln.split()[-1] for ln in lines if ln.startswith("replayed length")]
+    assert len(final) == 1 and final == replayed

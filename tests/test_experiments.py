@@ -175,6 +175,16 @@ def test_crosscheck_default_run_passes():
     _assert_verdicts_reference_cells(report)
 
 
+def test_crosscheck_negative_control_detected_at_seed_2():
+    # At seed 2 the dropped event's effect is gone by the next random query
+    # time (that cell alone reads about 5e-12); querying at the event's own
+    # time shows the full missing jump.
+    report = ex.run_crosscheck(seed=2)
+    assert report.verdict("negative_control_detected").status == "pass"
+    assert report.table("exact")["rows"][0][3] > 1e-6
+    _assert_verdicts_reference_cells(report)
+
+
 def test_crosscheck_validation():
     with pytest.raises(ValueError):
         ex.run_crosscheck(seed=0, n_leaves=500)  # exact arm capped at 200

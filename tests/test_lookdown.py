@@ -1,11 +1,11 @@
-"""Engine tests: event decoding, state replay, line and death sampling.
+"""Engine tests: event decoding, log replay, line and death sampling.
 
-Hand-worked step examples are frozen here; moment checks use bands of at
-least three standard errors around exact expectations, with seeds fixed so
-runs are deterministic.
+Hand-worked replay examples on 3- and 4-level logs are frozen here; moment
+checks use bands of at least three standard errors around exact
+expectations, with seeds fixed so runs are deterministic.
 """
 
-import io
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from kingman import _kernels
 from kingman.lookdown import (
-    Event,
     EventLog,
-    LineRecord,
     LookdownState,
     SequencingError,
     decode_pair,
@@ -33,6 +31,7 @@ from kingman.lookdown import (
 )
 from kingman.rng import make_stream
 from kingman.stats import ks_test_two_sample
+from kingman.treelength import build_path
 
 VAR_LIFE_2 = 4.0 * (math.pi**2 / 3.0 - 3.0)  # variance of a level-2 life
 MEAN_LEN_11 = 5.8579365079365076  # 2 * (1 + 1/2 + ... + 1/10)
@@ -71,12 +70,9 @@ def test_decode_inverts_triangular_code(code):
 
 
 def test_event_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        Event(1.0, 2, 2)
-    with pytest.raises(ValueError):
-        Event(1.0, 0, 3)
-    with pytest.raises(ValueError):
-        Event(1.0, 5, 3)
+    for source, target in ((2, 2), (0, 3), (5, 3), (1, 6)):
+        with pytest.raises(ValueError):
+            EventLog(5, 0.0, 1.0, np.array([0.5]), np.array([source]), np.array([target]))
 
 
 def test_simulate_events_window_contents():
@@ -87,9 +83,6 @@ def test_simulate_events_window_contents():
     assert np.all(np.diff(log.times) > 0.0)
     assert np.all((1 <= log.sources) & (log.sources < log.targets))
     assert np.all(log.targets <= 10)
-    events = list(log)
-    assert len(events) == log.n_events
-    assert events[0] == Event(float(log.times[0]), int(log.sources[0]), int(log.targets[0]))
 
 
 def test_simulate_events_count_matches_total_rate():
@@ -123,64 +116,80 @@ def test_eventlog_validation():
         EventLog(3, 0.0, 1.0, np.array([0.5]), np.array([3]), np.array([2]))
 
 
-def test_eventlog_csv_roundtrip():
-    stream = make_stream(19, 4)
-    log = simulate_events(7, (0.0, 3.0), stream)
-    buf = io.StringIO()
-    log.write_csv(buf, header_comments={"seed": 19})
-    buf.seek(0)
-    back = EventLog.read_csv(buf)
-    assert back.N == log.N
-    assert back.t_start == log.t_start and back.t_end == log.t_end
-    assert np.array_equal(back.times, log.times)
-    assert np.array_equal(back.sources, log.sources)
-    assert np.array_equal(back.targets, log.targets)
+# ---------------------------------------------------------------------------
+# log replay
+# ---------------------------------------------------------------------------
+
+def _log(N, start, end, times, targets):
+    """A log whose events all beget from level 1."""
+    targets = np.asarray(targets, dtype=np.int64)
+    return EventLog(N, start, end, np.asarray(times, dtype=np.float64),
+                    np.ones_like(targets), targets)
 
 
-# ---------------------------------------------------------------------------
-# state replay
-# ---------------------------------------------------------------------------
+def _naive_replay(births, log):
+    """Literal pop/insert replay: final births and per-event jump arrays."""
+    births = [float(b) for b in births]
+    ages, sizes, flags = [], [], []
+    for t, k in zip(log.times.tolist(), log.targets.tolist()):
+        old_min = min(births)
+        exited = births.pop()
+        births.insert(k - 2, t)
+        ages.append(t - exited)
+        flags.append(exited <= old_min)
+        sizes.append(ages[-1] + (min(births) - old_min))
+    return births, np.array(ages), np.array(sizes), np.array(flags, dtype=bool)
+
 
 def test_step_low_target_shifts_and_exits():
-    state = LookdownState(3, 0.5, [0.5, 0.2])
-    rec = state.step(Event(1.0, 1, 2))
-    assert state.birth_time_of_level.tolist() == [1.0, 0.5]
-    assert rec == LineRecord(0.2, 3, 1.0, 0.8)
-    assert state.min_birth == 0.5
-    assert state.now == 1.0
-    assert abs(state.sum_births - 1.5) < 1e-15
+    # Level 2 holds the oldest line (0.2). A birth at level 2 pushes it to
+    # level 3 while the level-3 line (0.5) exits; the next event, at the top
+    # level, then removes the pushed line, which is the root correction.
+    state = LookdownState(3, 0.5, [0.2, 0.5])
+    log = _log(3, 0.5, 2.0, [1.0, 1.5], [2, 3])
+    path = build_path(state, log)
+    assert path.exit_ages.tolist() == [1.0 - 0.5, 1.5 - 0.2]
+    assert path.root_flags.tolist() == [False, True]
+    assert path.jump_sizes.tolist() == [1.0 - 0.5, (1.5 - 0.2) + (1.0 - 0.2)]
+    assert resolve_final_state(log, state.births).tolist() == [1.0, 1.5]
+    # l(2) = 2 * 2 - (1.0 + 1.5) + (2 - 1.0)
+    assert path.final_value == pytest.approx(2.5, abs=1e-12)
 
 
 def test_step_top_target_replaces_exiting_line():
     state = LookdownState(3, 0.5, [0.5, 0.2])
-    rec = state.step(Event(1.0, 2, 3))
-    assert state.birth_time_of_level.tolist() == [0.5, 1.0]
-    assert rec.birth_time == 0.2 and rec.life_length == 0.8
-    assert state.min_birth == 0.5
+    log = _log(3, 0.5, 1.0, [1.0], [3])
+    path = build_path(state, log)
+    assert path.exit_ages.tolist() == [1.0 - 0.2]
+    assert path.root_flags.tolist() == [True]
+    assert path.jump_sizes.tolist() == [(1.0 - 0.2) + (0.5 - 0.2)]
+    assert resolve_final_state(log, state.births).tolist() == [0.5, 1.0]
 
 
 def test_step_rejects_stale_time_and_big_target():
     state = LookdownState(3, 0.5, [0.5, 0.2])
-    with pytest.raises(SequencingError):
-        state.step(Event(0.5, 1, 2))
-    with pytest.raises(SequencingError):
-        state.step(Event(0.3, 1, 2))
     with pytest.raises(ValueError):
-        state.step(Event(1.0, 1, 4))
+        _log(3, 0.5, 1.0, [0.5], [2])  # not after the window start
+    with pytest.raises(ValueError):
+        build_path(state, _log(3, 0.0, 1.0, [0.3], [2]))  # starts before state
+    with pytest.raises(SequencingError):
+        _log(3, 0.5, 1.0, [0.8, 0.7], [2, 2])
+    with pytest.raises(ValueError):
+        _log(3, 0.5, 1.0, [1.0], [4])
 
 
-def test_step_sequence_tracks_labels_and_min():
-    state = LookdownState.degenerate(4, 0.0)
-    r1 = state.step(Event(1.0, 1, 2))
-    r2 = state.step(Event(2.0, 1, 4))
-    r3 = state.step(Event(3.0, 1, 2))
-    assert state.birth_time_of_level.tolist() == [3.0, 1.0, 0.0]
-    assert state.birth_level_of_level.tolist() == [2, 2, 2]
-    assert state.min_birth == 0.0
-    assert state.sum_births == 4.0
-    assert (r1.birth_time, r1.birth_level, r1.life_length) == (0.0, 4, 1.0)
-    assert (r2.birth_time, r2.birth_level, r2.life_length) == (0.0, 3, 2.0)
-    assert (r3.birth_time, r3.birth_level, r3.life_length) == (2.0, 4, 1.0)
+def test_replay_sequence_tracks_births_and_min():
+    # Births run [0,0,0] -> [1,0,0] -> [1,0,2] -> [3,1,0]. The first two
+    # exits remove a line tied with the oldest, so they are flagged as root
+    # exits with a zero stem correction.
+    log = _log(4, 0.0, 3.0, [1.0, 2.0, 3.0], [2, 4, 2])
+    path = build_path(LookdownState.degenerate(4, 0.0), log)
+    assert path.exit_ages.tolist() == [1.0, 2.0, 1.0]
+    assert path.jump_sizes.tolist() == [1.0, 2.0, 1.0]
+    assert path.root_flags.tolist() == [True, True, False]
+    assert resolve_final_state(log, [0.0] * 3).tolist() == [3.0, 1.0, 0.0]
+    # l(3) = 3 * 3 - (3 + 1 + 0) + (3 - 0)
+    assert path.final_value == 8.0
 
 
 def test_constructor_validation():
@@ -193,44 +202,22 @@ def test_constructor_validation():
     state = LookdownState.degenerate(5, -2.0)
     assert state.min_birth == -2.0
     assert state.sum_births == -8.0
-
-
-def test_linerecord_validation():
-    with pytest.raises(ValueError):
-        LineRecord(1.0, 2, 0.5, -0.5)
-    with pytest.raises(ValueError):
-        LineRecord(0.0, 2, 1.0, 0.9)
-    with pytest.raises(ValueError):
-        LineRecord(0.0, 1, 1.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.now = 0.0
 
 
 def test_replay_matches_naive_reference():
     stream = make_stream(23, 1)
     log = simulate_events(8, (0.0, 4.0), stream)
     assert log.n_events > 60  # rate 28 over a span of 4
-    state = LookdownState.degenerate(8, 0.0)
-    ref = [0.0] * 7
-    records = []
-    for ev in log:
-        exited = ref.pop()
-        ref.insert(ev.target - 2, ev.time)
-        records.append(state.step(ev))
-        assert state.birth_time_of_level.tolist() == ref
-        assert state.min_birth == min(ref)
-        assert abs(state.sum_births - math.fsum(ref)) < 1e-9
-        assert records[-1].birth_time == exited
-    assert len(records) == log.n_events
-    for rec, ev in zip(records, log):
-        assert rec.exit_time == ev.time
-        assert rec.life_length == ev.time - rec.birth_time
-
-
-def test_copy_is_independent():
-    state = LookdownState(3, 0.5, [0.5, 0.2])
-    clone = state.copy()
-    state.step(Event(1.0, 1, 2))
-    assert clone.birth_time_of_level.tolist() == [0.5, 0.2]
-    assert clone.now == 0.5
+    path = build_path(LookdownState.degenerate(8, 0.0), log)
+    births, ages, sizes, flags = _naive_replay([0.0] * 7, log)
+    assert np.array_equal(path.exit_ages, ages)
+    assert np.array_equal(path.jump_sizes, sizes)
+    assert np.array_equal(path.root_flags, flags)
+    assert 0 < flags.sum() < log.n_events
+    end_length = 7 * 4.0 - math.fsum(births) + (4.0 - min(births))
+    assert path.final_value == pytest.approx(end_length, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +229,9 @@ def test_resolve_final_state_matches_forward_replay(window_end):
     stream = make_stream(29, round(window_end * 100))
     init = [-0.1, -0.5, -0.2, -0.9, -0.3]
     log = simulate_events(6, (0.0, window_end), stream)
-    state = LookdownState(6, 0.0, init)
-    for ev in log:
-        state.step(ev)
+    forward, _, _, _ = _naive_replay(init, log)
     resolved = resolve_final_state(log, init)
-    assert np.array_equal(resolved, state.birth_time_of_level)
+    assert np.array_equal(resolved, np.array(forward))
 
 
 def test_resolve_final_state_no_events():
@@ -381,7 +366,7 @@ def test_assign_levels_compiled_matches_reference():
 def test_stationary_state_structure():
     stream = make_stream(41, 1)
     state = sample_stationary_state(12, 3.0, stream)
-    births = state.birth_time_of_level
+    births = np.array(state.births)
     assert births.shape == (11,)
     assert np.all(births < 3.0)
     assert births.min() == state.min_birth

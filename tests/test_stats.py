@@ -21,7 +21,6 @@ from kingman.stats import (
     poisson_suite,
     quadratic_variation,
     qv_mesh_scan,
-    sum_squared_lifelengths,
     variance_scaling,
 )
 
@@ -103,14 +102,9 @@ class _LinearPath:
 def test_partition_constructors():
     p = Partition.uniform(0.0, 1.0, 4)
     assert p.n_cells == 4
-    assert p.mesh == pytest.approx(0.25)
     assert np.array_equal(p.points, np.linspace(0, 1, 5))
     d = Partition.dyadic(2.0, 4.0, 3)
     assert d.n_cells == 8 and d.points[0] == 2.0 and d.points[-1] == 4.0
-    r = Partition.random(0.0, 1.0, 10, make_stream(67, 0))
-    assert r.n_cells == 10
-    assert r.points[0] == 0.0 and r.points[-1] == 1.0
-    assert np.all(np.diff(r.points) > 0.0)
 
 
 def test_partition_validation():
@@ -134,50 +128,6 @@ def test_quadratic_variation_of_linear_path_vanishes_dyadically():
     assert rows[0][0] == 1.0 and rows[3][0] == pytest.approx(2.0**-5)
     with pytest.raises(ValueError):
         qv_mesh_scan(path, (1.0, 1.0), [0])
-
-
-# ---------------------------------------------------------------------------
-# life-length sums
-# ---------------------------------------------------------------------------
-
-def _fake_sample(level, lives, window=(0.0, 10.0)):
-    lives = np.asarray(lives, dtype=np.float64)
-    deaths = np.linspace(window[0] + 1.0, window[1], num=lives.size)
-    return PointProcessSample(
-        level=level,
-        window=window,
-        death_times=deaths,
-        life_lengths=lives,
-        burn_in=1.0,
-        tol=1e-3,
-        truncation_level=2001,
-    )
-
-
-def test_sum_squared_lifelengths_accumulates():
-    samples = [
-        _fake_sample(3, [2.0]),
-        _fake_sample(2, [1.0, 1.0]),
-        _fake_sample(4, []),
-    ]
-    levels, s = sum_squared_lifelengths(samples)
-    assert levels.tolist() == [2, 3, 4]
-    assert s.tolist() == [2.0, 6.0, 6.0]
-    empty_levels, empty_s = sum_squared_lifelengths([])
-    assert empty_levels.size == 0 and empty_s.size == 0
-
-
-def test_sum_squared_lifelengths_validation():
-    with pytest.raises(ValueError):
-        sum_squared_lifelengths([_fake_sample(3, [1.0])])
-    with pytest.raises(ValueError):
-        sum_squared_lifelengths([_fake_sample(2, [1.0]), _fake_sample(4, [1.0])])
-    with pytest.raises(ValueError):
-        sum_squared_lifelengths([_fake_sample(2, [1.0]), _fake_sample(2, [1.0])])
-    with pytest.raises(ValueError):
-        sum_squared_lifelengths(
-            [_fake_sample(2, [1.0]), _fake_sample(3, [1.0], window=(0.0, 9.0))]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +258,7 @@ def test_running_stats_matches_numpy():
     xs = make_stream(73, 0).generator.normal(3.0, 2.0, size=1000)
     acc = RunningStats()
     for x in xs:
-        acc.add(float(x))
+        acc.merge(RunningStats.from_array([x]))
     assert acc.n == 1000
     assert acc.mean == pytest.approx(xs.mean(), rel=1e-12)
     assert acc.variance == pytest.approx(xs.var(ddof=1), rel=1e-10)

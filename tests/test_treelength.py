@@ -17,7 +17,6 @@ from kingman.rng import make_stream
 from kingman.stats import ks_test_two_sample
 from kingman.treelength import (
     InsufficientHistoryError,
-    Jump,
     TreeLengthPath,
     build_path,
     reconstruct_length_backward,
@@ -36,6 +35,8 @@ def test_length_of_state_hand_value():
 
 
 def test_path_matches_replayed_state_everywhere():
+    # At each query time t, resolve the births at t backward from the log's
+    # events up to t and compute the length from them directly.
     stream = make_stream(53, 0)
     log = simulate_events(7, (0.0, 3.0), stream)
     start = LookdownState.degenerate(7, 0.0)
@@ -44,12 +45,11 @@ def test_path_matches_replayed_state_everywhere():
     assert np.array_equal(path.jump_times, log.times)
     times = make_stream(53, 1).generator.uniform(0.0, 3.0, size=50)
     for t in times:
-        state = LookdownState.degenerate(7, 0.0)
-        for ev in log:
-            if ev.time > t:
-                break
-            state.step(ev)
-        direct = tree_length_of_state(state) + 7 * (t - state.now)
+        upto = log.times <= t
+        head = EventLog(7, 0.0, float(t), log.times[upto], log.sources[upto],
+                        log.targets[upto])
+        births = resolve_final_state(head, start.births)
+        direct = 6 * t - births.sum() + (t - births.min())
         assert path.eval(t) == pytest.approx(direct, rel=1e-11, abs=1e-11)
 
 
@@ -79,16 +79,16 @@ def test_drift_between_jumps_is_exactly_n():
 
 def test_root_correction_anatomy():
     state = LookdownState(3, 0.5, [0.5, 0.2])
-    log = EventLog.from_events(3, (0.5, 1.0), [])
-    path = build_path(state, log)
+    empty = EventLog(3, 0.5, 1.0, np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
+    path = build_path(state, empty)
     assert path.v0 == pytest.approx(0.6, abs=1e-12)
     # Oldest line (birth 0.2 at level 3) exits: age 0.8, stem shortens 0.3.
-    from kingman.lookdown import Event
-
-    log2 = EventLog.from_events(3, (0.5, 1.2), [Event(1.0, 1, 2)])
-    path2 = build_path(state, log2)
-    jump = path2.jumps()[0]
-    assert jump == Jump(1.0, pytest.approx(1.1), pytest.approx(0.8), True)
+    log = EventLog(3, 0.5, 1.2, np.array([1.0]), np.array([1]), np.array([2]))
+    path2 = build_path(state, log)
+    assert path2.jump_times.tolist() == [1.0]
+    assert path2.jump_sizes[0] == pytest.approx(1.1)
+    assert path2.exit_ages[0] == pytest.approx(0.8)
+    assert path2.root_flags.tolist() == [True]
     assert path2.eval(1.0) == pytest.approx(1.0, abs=1e-12)
     assert path2.eval(0.999999) == pytest.approx(2.1, abs=1e-4)
 
@@ -114,7 +114,7 @@ def test_build_path_validates_alignment():
         build_path(LookdownState.degenerate(5, -1.0), log)
     state = LookdownState.degenerate(5, 0.0)
     build_path(state, log)
-    assert state.now == 0.0  # caller's state untouched
+    assert state == LookdownState.degenerate(5, 0.0)  # caller's state untouched
 
 
 def test_eval_domain_and_vectorization():
