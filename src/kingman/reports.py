@@ -18,7 +18,6 @@ __all__ = [
     "Verdict",
     "format_float",
     "format_value",
-    "read_header_comments",
     "write_header_comments",
 ]
 
@@ -45,43 +44,6 @@ def format_value(v) -> str:
 def write_header_comments(fp: io.TextIOBase, meta: dict) -> None:
     for key, value in meta.items():
         fp.write(f"# {key}={format_value(value)}\n")
-
-
-def read_header_comments(
-    fp: io.TextIOBase, expected_header: str | None = None
-) -> tuple[dict, list[list[str]]]:
-    """Parse '# key=value' leading comments, the header row, and data rows.
-
-    Values are left as strings; callers coerce. Blank trailing lines are
-    ignored. If expected_header is given the first non-comment line must
-    match it exactly.
-    """
-    meta: dict[str, str] = {}
-    header: str | None = None
-    rows: list[list[str]] = []
-    for raw in fp:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("# "):
-            if header is not None:
-                raise ValueError("comment line after the header row")
-            key, sep, value = line[2:].partition("=")
-            if not sep:
-                raise ValueError(f"malformed comment line: {line!r}")
-            meta[key] = value
-            continue
-        if header is None:
-            header = line
-            if expected_header is not None and line != expected_header:
-                raise ValueError(
-                    f"expected header {expected_header!r}, found {line!r}"
-                )
-            continue
-        rows.append(line.split(","))
-    if header is None and expected_header is not None:
-        raise ValueError("file has no header row")
-    return meta, rows
 
 
 # ---------------------------------------------------------------------------

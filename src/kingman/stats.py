@@ -9,7 +9,7 @@ log-slope fits, and a mergeable mean/variance accumulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -362,8 +362,6 @@ class RunningStats:
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    _min: float = field(default=math.inf, repr=False)
-    _max: float = field(default=-math.inf, repr=False)
 
     @classmethod
     def from_array(cls, xs: np.ndarray) -> "RunningStats":
@@ -374,8 +372,6 @@ class RunningStats:
         out.n = int(xs.size)
         out.mean = float(xs.mean())
         out.m2 = float(np.sum((xs - xs.mean()) ** 2))
-        out._min = float(xs.min())
-        out._max = float(xs.max())
         return out
 
     def merge(self, other: "RunningStats") -> "RunningStats":
@@ -383,15 +379,12 @@ class RunningStats:
             return self
         if self.n == 0:
             self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            self._min, self._max = other._min, other._max
             return self
         n = self.n + other.n
         delta = other.mean - self.mean
         self.mean += delta * other.n / n
         self.m2 += other.m2 + delta * delta * self.n * other.n / n
         self.n = n
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
         return self
 
     @property

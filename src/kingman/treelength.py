@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lookdown import EventLog, LookdownState, pair_count, stationary_births
+from .lookdown import EventLog, LookdownState, pair_count
 from .rng import RngStream
 
 __all__ = [
@@ -216,36 +216,94 @@ def sample_static_kingman_length(
     return out
 
 
+def _lower_merger_steps(
+    n_levels: int, k: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """Steps of the backward stationary construction that resolve levels 2..K.
+
+    Step s (0-based) of :func:`~kingman.lookdown.stationary_births` merges
+    inside a block of m = n_levels - s levels. The j still unresolved
+    levels among 2..K are the j lowest unresolved levels, so the step
+    resolves one of them with probability C(j+1,2)/C(m,2), independently
+    of the merger depths. With j fixed, the steps of block sizes
+    m0, m0-1, ..., m all miss with probability
+
+        S(m) = prod_{i=m}^{m0} (i-j-1)(i+j) / (i(i-1)),
+
+    which telescopes into log-factorials. The next lower step is the
+    largest block size m with S(m) < v for one uniform v in (0, 1]; the
+    bisection for it runs on all replicates at once. `k` holds K per
+    replicate (K >= 1); the K-1 step indices of each replicate come back
+    increasing, concatenated in replicate order.
+    """
+    n = n_levels
+    # lf[i] = ln i! for i = 0..2n-1. In x = m - 2, ln S(m) = A - B(x) with
+    # B(x) = lf[x-j] + lf[x+j+1] - lf[x] - lf[x+1], and A = B(m0 - 1).
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * n)))))
+    lf_up = lf[1:]
+    lf_pair = lf[:-1] + lf[1:]
+    j = np.asarray(k, dtype=np.int64) - 1
+    ends = np.cumsum(j)  # replicate r's steps fill out[ends[r] - j[r]:ends[r]]
+    out = np.empty(int(j.sum()), dtype=np.int64)
+    ceiling = np.full(j.size, n - 1)  # x = m0 - 1, m0 = next step's block size
+    live = np.flatnonzero(j > 0)
+    while live.size:
+        jj, hi = j[live], ceiling[live]
+        # ln S(mid) < ln v  <=>  B(mid) > A - ln v; B(hi) == A exactly, so
+        # hi starts on the "not below" side.
+        bound = (lf[hi - jj] + lf_up[hi + jj] - lf_pair[hi]
+                 - np.log1p(-gen.random(live.size)))
+        lo = jj - 1  # m = j + 1, where S = 0
+        for _ in range(int((hi - lo).max()).bit_length()):
+            # Rounding up keeps mid >= j (S(j+1) = 0 has no finite log);
+            # a closed bracket re-tests hi and stays put.
+            mid = (lo + hi + 1) >> 1
+            below = lf[mid - jj] + lf_up[mid + jj] - lf_pair[mid] > bound
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out[ends[live] - jj] = n - 2 - lo
+        j[live] = jj - 1
+        ceiling[live] = lo
+        live = live[jj > 1]
+    return out
+
+
 def sample_stationary_length_increments(
     n_levels: int, epsilon: float, reps: int, stream: RngStream
 ) -> np.ndarray:
     """Draw iid copies of l(epsilon) - l(0), started from stationarity.
 
     Distributionally exact rewrite of "sample a stationary state, evolve it
-    for epsilon, subtract" that never materializes the event log, so one
-    draw costs O(n_levels) work no matter how many events the window holds.
+    for epsilon, subtract" that never materializes the event log or assigns
+    birth times to levels. One draw costs O(n_levels + K log n_levels)
+    work, where K is the number of final lines that reach back past time 0,
+    no matter how many events the window holds.
 
     Three independent ingredients determine the increment:
 
-    * the stationary births at time 0 (only prefix sums and prefix minima
-      of the level-ordered births enter);
     * which events, scanned backward from epsilon, are births of final
       lines. With K final lines still unresolved an event qualifies iff its
       pair code lands in the bottom C(K,2) of the C(n,2) codes, and then K
       drops by one; the codes are iid, so the number of inert events before
       each qualifying one is geometric with the success probability walking
-      K = n, n-1, ... downward;
+      K = n, n-1, ... downward. Final levels never resolved by the scan
+      occupied the bottom block at time 0 and inherit the initial births of
+      levels 2..K in order;
     * where the qualifying events sit in time. Given the window's total
-      event count E (Poisson), the event times are E iid uniforms, and
-      walking their order statistics down from the top turns each qualifying
-      position into a Beta-distributed shrink factor, so the j-th resolved
-      birth time is epsilon times a product of independent Betas.
+      event count E (Poisson), the event times are E iid uniforms, whose
+      E+1 spacings are normalized iid Exp(1) draws. Counting from the top,
+      the qualifying positions split the spacings into runs, so the lag
+      epsilon - t of each resolved birth is epsilon times a partial sum of
+      Gamma(run length) draws over the Gamma(E+1) total;
+    * the stationary state at time 0, built backward from its n-1
+      coalescent merger depths (cumulative Exp/C(m,2)). Their sum and
+      maximum give l(0). Levels 2..K take the depths of the K-1 "lower"
+      mergers, whose steps form a death chain independent of the depths
+      (see :func:`_lower_merger_steps`); the last of them is the oldest
+      final line.
 
-    Final levels never resolved by the scan occupied the bottom block at
-    time 0 and inherit the initial births of levels 2..K_end in order. The
-    increment depends only on the multiset of final births, so no level
-    assignment is needed: the final sum and minimum come from the resolved
-    times plus an initial-birth prefix sum and prefix minimum.
+    The increment depends only on the multiset of final births, so the
+    final length follows from the resolved lags and the lower depths.
     """
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")
@@ -257,40 +315,41 @@ def sample_stationary_length_increments(
     gen = stream.generator
     total_pairs = float(pair_count(n))
     m = np.arange(n, 1, -1, dtype=np.float64)
+    rates = m * (m - 1.0) / 2.0
     with np.errstate(divide="ignore"):
         # p = 1 for the first step gives log1p(-1) = -inf; the gap formula
         # below still returns exactly 1 there.
-        log_miss = np.log1p(-(m * (m - 1.0) / 2.0) / total_pairs)
-    out = np.empty(reps)
-    for r in range(reps):
-        births = stationary_births(n, 0.0, stream)
-        prefix_sum = np.cumsum(births)
-        prefix_min = np.minimum.accumulate(births)
-        length0 = -prefix_min[-1] - prefix_sum[-1]
-        n_events = int(gen.poisson(total_pairs * epsilon))
+        log_miss = np.log1p(-rates / total_pairs)
+    out = np.full(reps, n * epsilon)  # no final line resolved: pure drift
+    resolved = np.zeros(reps, dtype=np.int64)
+    lag_sum = np.zeros(reps)
+    lag_max = np.zeros(reps)
+    for r, n_events in enumerate(gen.poisson(total_pairs * epsilon, reps).tolist()):
         if n_events == 0:
-            out[r] = n * epsilon
             continue
         u = 1.0 - gen.random(n - 1)
         gaps = np.floor(np.log(u) / log_miss).astype(np.int64) + 1
         positions = np.cumsum(gaps)
-        resolved = int(np.searchsorted(positions, n_events, side="right"))
-        if resolved == 0:
-            out[r] = n * epsilon
+        count = int(np.searchsorted(positions, n_events, side="right"))
+        if count == 0:
             continue
-        shrink = gen.beta(
-            gaps[:resolved].astype(np.float64),
-            (n_events - positions[:resolved] + 1).astype(np.float64),
-        )
-        times = epsilon * np.cumprod(1.0 - shrink)
-        k_end = n - resolved
-        if k_end >= 2:
-            base_sum = float(prefix_sum[k_end - 2])
-            base_min = float(prefix_min[k_end - 2])
+        partial = np.cumsum(gen.standard_gamma(gaps[:count].astype(np.float64)))
+        total = partial[-1] + gen.standard_gamma(n_events - positions[count - 1] + 1)
+        lags = (epsilon / total) * partial
+        resolved[r] = count
+        lag_sum[r] = lags.sum()
+        lag_max[r] = lags[-1]
+    # K final lines reach back past 0; pure-drift replicates need no steps.
+    k = np.where(resolved > 0, n - resolved, 1)
+    lower_steps = _lower_merger_steps(n, k, gen)
+    ends = np.cumsum(k - 1)
+    for r in np.flatnonzero(resolved).tolist():
+        depths = np.cumsum(gen.standard_exponential(n - 1) / rates)
+        lower = depths[lower_steps[ends[r] - k[r] + 1:ends[r]]]
+        if lower.size:
+            # root stem epsilon + (oldest lower depth), plus K-1 lower lines
+            final = k[r] * epsilon + lower[-1] + lower.sum()
         else:
-            base_sum = 0.0
-            base_min = math.inf
-        final_sum = float(times.sum()) + base_sum
-        final_min = min(base_min, float(times[-1]))
-        out[r] = (n * epsilon - final_min - final_sum) - length0
+            final = lag_max[r]  # the oldest final line is the last resolved
+        out[r] = final + lag_sum[r] - (depths[-1] + depths.sum())
     return out

@@ -6,8 +6,35 @@ import math
 import pytest
 
 from kingman.cli import main, read_config_file
-from kingman.reports import read_header_comments
 from kingman.svg import emit_svg
+
+
+def read_header_comments(fp, expected_header):
+    """Parse '# key=value' leading comments, the header row, and data rows.
+
+    Values are left as strings. Blank lines are ignored; the first
+    non-comment line must equal expected_header, and no comment may follow
+    it.
+    """
+    meta = {}
+    header = None
+    rows = []
+    for raw in fp:
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("# "):
+            assert header is None, "comment line after the header row"
+            key, sep, value = line[2:].partition("=")
+            assert sep, f"malformed comment line: {line!r}"
+            meta[key] = value
+        elif header is None:
+            header = line
+            assert line == expected_header
+        else:
+            rows.append(line.split(","))
+    assert header is not None, "file has no header row"
+    return meta, rows
 
 
 def test_simulate_path_writes_csv_and_svg(tmp_path):

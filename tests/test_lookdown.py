@@ -351,16 +351,15 @@ def test_death_rate_equals_birth_rate():
 # stationary states
 # ---------------------------------------------------------------------------
 
-def test_assign_levels_compiled_matches_reference():
-    stream = make_stream(41, 0)
-    for n in (2, 3, 7, 40):
-        m = np.arange(n, 1, -1, dtype=np.int64)
-        depths = np.cumsum(stream.exponentials(1.0, n - 1))
-        codes = stream.generator.integers(0, m * (m - 1) // 2)
-        targets = decode_pair(codes)[1]
-        got = _kernels.assign_levels(n, targets, depths)
-        want = _kernels.assign_levels_py(n, targets, depths)
-        assert np.array_equal(got, want)
+def test_assign_levels_hand_example():
+    # Four levels, unresolved [2, 3, 4]. Target 3 takes the 2nd smallest
+    # (level 3) at depth 0.1; target 2 then takes level 2 at 0.4; the last
+    # step takes level 4 at 1.0.
+    got = _kernels.assign_levels(4, np.array([3, 2, 2]), np.array([0.1, 0.4, 1.0]))
+    assert got.tolist() == [0.4, 0.1, 1.0]
+    assert _kernels.assign_levels(2, np.array([2]), np.array([0.7])).tolist() == [0.7]
+    with pytest.raises(ValueError):
+        _kernels.assign_levels(4, np.array([2, 2]), np.array([0.1, 0.4]))
 
 
 def test_stationary_state_structure():

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from kingman import _kernels
 from kingman.lookdown import (
     EventLog,
     LookdownState,
+    decode_pair,
     resolve_final_state,
     sample_stationary_state,
     simulate_events,
@@ -18,6 +20,7 @@ from kingman.stats import ks_test_two_sample
 from kingman.treelength import (
     InsufficientHistoryError,
     TreeLengthPath,
+    _lower_merger_steps,
     build_path,
     reconstruct_length_backward,
     sample_static_kingman_length,
@@ -188,16 +191,21 @@ def _brute_force_increments(n, eps, reps, stream):
     out = np.empty(reps)
     for r in range(reps):
         births = stationary_births(n, 0.0, stream)
-        start = -births.min() - births.sum()
         log = simulate_events(n, (0.0, eps), stream)
         final = resolve_final_state(log, births)
-        out[r] = (n * eps - final.min() - final.sum()) - start
+        # l(eps) - l(0) with the births differenced first, so a window that
+        # resolves no final line gives exactly n * eps, as the sampler does:
+        # an atom split by rounding would dominate the KS distance at n=2.
+        out[r] = (n * eps - (final.min() - births.min())
+                  - (final.sum() - births.sum()))
     return out
 
 
-@pytest.mark.parametrize("n,eps", [(5, 0.8), (12, 0.3), (40, 0.05)])
+@pytest.mark.parametrize(
+    "n,eps", [(2, 0.8), (5, 0.8), (12, 0.3), (40, 0.05), (200, 0.05)]
+)
 def test_stationary_increments_match_forward_replay(n, eps):
-    # The O(n)-per-draw increment sampler must agree in law with the literal
+    # The level-free increment sampler must agree in law with the literal
     # route: stationary start, full event log, replay, subtract.
     fast = sample_stationary_length_increments(n, eps, 3000, make_stream(61, 1))
     slow = _brute_force_increments(n, eps, 3000, make_stream(61, 2))
@@ -215,3 +223,44 @@ def test_stationary_increments_validation():
         sample_stationary_length_increments(5, 0.0, 5, stream)
     with pytest.raises(ValueError):
         sample_stationary_length_increments(5, 0.1, 0, stream)
+
+
+def _literal_lower_steps(n, k, reps, stream):
+    # Run the stationary construction's level assignment on step numbers in
+    # place of depths and read off the steps that landed on levels 2..k.
+    m = np.arange(n, 1, -1, dtype=np.int64)
+    step_ids = np.arange(n - 1, dtype=np.float64)
+    out = np.empty((reps, k - 1))
+    for r in range(reps):
+        targets = decode_pair(stream.generator.integers(0, m * (m - 1) // 2))[1]
+        out[r] = np.sort(_kernels.assign_levels(n, targets, step_ids)[: k - 1])
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 5, 12])
+def test_lower_merger_steps_match_literal_assignment(k):
+    n, reps = 40, 3000
+    fast = _lower_merger_steps(n, np.full(reps, k), make_stream(67, k).generator)
+    fast = fast.reshape(reps, k - 1)
+    assert np.all(np.diff(fast, axis=1) > 0)
+    slow = _literal_lower_steps(n, k, reps, make_stream(67, 100 + k))
+    for i in range(k - 1):
+        assert ks_test_two_sample(fast[:, i], slow[:, i]).p_value > 1e-3
+
+
+def test_lower_merger_steps_edges():
+    gen = make_stream(67, 0).generator
+    n = 9
+    # K = n: every step resolves one of levels 2..n.
+    assert _lower_merger_steps(n, np.full(3, n), gen).tolist() == list(range(n - 1)) * 3
+    # K = 2: one step each; K = 1: none.
+    assert _lower_merger_steps(n, np.full(50, 2), gen).shape == (50,)
+    assert _lower_merger_steps(n, np.ones(4, dtype=np.int64), gen).size == 0
+    # Mixed K comes back grouped by replicate, each group increasing.
+    k = np.array([1, n, 2, 5, 1, 3])
+    steps = _lower_merger_steps(n, k, gen)
+    groups = np.split(steps, np.cumsum(k - 1)[:-1])
+    assert [g.size for g in groups] == (k - 1).tolist()
+    assert groups[1].tolist() == list(range(n - 1))
+    for g in groups:
+        assert np.all(np.diff(g) > 0) and np.all((0 <= g) & (g < n - 1))
