@@ -371,12 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = build_config(argv)
-        if cfg.subcommand == "simulate-path":
-            return _run_simulate_path(cfg)
-        runner = EXPERIMENTS[cfg.subcommand]
-        kwargs = _experiment_kwargs(cfg)
         try:
-            report = runner(seed=cfg.seed, workers=cfg.workers, **kwargs)
+            if cfg.subcommand == "simulate-path":
+                return _run_simulate_path(cfg)
+            runner = EXPERIMENTS[cfg.subcommand]
+            report = runner(seed=cfg.seed, workers=cfg.workers,
+                            **_experiment_kwargs(cfg))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         for v in report.verdicts:

@@ -30,6 +30,7 @@ from .lookdown import (
     pair_count,
     resolve_final_state,
     sample_infinite_deaths,
+    sample_lifelengths,
     sample_stationary_state,
     simulate_events,
     stationary_births,
@@ -423,64 +424,31 @@ def _squared_life_sums_one_rep(stream, k_max: int, window) -> np.ndarray:
     """One replicate's sum of squared life lengths dying in the window,
     resolved per birth level 2..k_max.
 
-    Lines of level k are born at Poisson rate (k - 1) on a window padded
+    Lines of level k are born at Poisson rate (k - 1) on the window padded
     backward by the level's burn-in (:func:`default_burn_in`), so deaths
-    inside the window are captured. Life lengths use a per-level truncation
-    tolerance 2/(k + 7), which puts the truncation level at k + 8 for every
-    k: exactly eight exponential stages plus the deterministic tail mean.
-    The relative bias this leaves in the squared-sum scale is far below the
+    inside the window are captured. The births are drawn as one Poisson
+    count per level plus that many uniform positions: a Poisson process on
+    an interval is exactly that, and the sum of squares needs neither the
+    births' order nor their gaps, so the sorted gap draws of
+    :func:`~kingman.rng.sample_poisson_times` would be wasted work. Lives
+    come from :func:`sample_lifelengths` truncated at J = k + 8: eight
+    exponential stages plus the deterministic tail mean 2/(k + 7). The
+    relative bias this leaves in the squared-sum scale is far below the
     slope tolerance.
     """
     t0, t1 = window
     span = t1 - t0
     gen = stream.generator
-    levels = np.arange(2, k_max + 1, dtype=np.int64)
-    lev_f = levels.astype(np.float64)
-    burn = default_burn_in(levels)
-    counts = gen.poisson((lev_f - 1.0) * (span + burn))
-    tails = 2.0 / (lev_f + 7.0)
-    stage = lev_f[:, None] + np.arange(8, dtype=np.float64)[None, :]
-    inv = 2.0 / (stage * (stage - 1.0))
-    totals = np.zeros(k_max - 1)
-    block_lines = 1_200_000
-    # Draw buffers are reused across blocks: the draws fill them in the same
-    # order as fresh arrays would, without touching new pages every block.
-    cap = max(block_lines, int(counts.max()))
-    u_buf = np.empty(cap)
-    e_buf = np.empty((cap, 8))
-    life_buf = np.empty(cap)
-    start = 0
-    n_rows = k_max - 1
-    while start < n_rows:
-        stop = start + 1
-        lines = int(counts[start])
-        while stop < n_rows and lines + int(counts[stop]) <= block_lines:
-            lines += int(counts[stop])
-            stop += 1
-        c = counts[start:stop]
-        m = int(c.sum())
-        if m > 0:
-            births = gen.random(out=u_buf[:m])
-            births *= span + np.repeat(burn[start:stop], c)
-            np.subtract(t1, births, out=births)
-            draws = gen.standard_exponential(out=e_buf[:m])
-            # Stage rates are shared by every line of a level, so each
-            # level's lives are one matrix-vector product on its rows.
-            lives = life_buf[:m]
-            lo = 0
-            for row, n_lines in zip(range(start, stop), c.tolist()):
-                hi = lo + n_lines
-                np.einsum("ij,j->i", draws[lo:hi], inv[row], out=lives[lo:hi])
-                lo = hi
-            lives += np.repeat(tails[start:stop], c)
-            deaths = births + lives
-            inside = (deaths > t0) & (deaths <= t1)
-            idx = np.repeat(np.arange(stop - start), c)
-            totals[start:stop] += np.bincount(
-                idx, weights=np.where(inside, lives * lives, 0.0),
-                minlength=stop - start,
-            )
-        start = stop
+    levels = np.arange(2, k_max + 1)
+    pad = span + default_burn_in(levels)
+    counts = gen.poisson((levels - 1.0) * pad)
+    totals = np.empty(k_max - 1)
+    for i, (k, count) in enumerate(zip(levels.tolist(), counts.tolist())):
+        births = t1 - pad[i] * gen.random(count)
+        lives = sample_lifelengths(k, count, stream, k + 8)
+        deaths = births + lives
+        inside = lives[(deaths > t0) & (deaths <= t1)]
+        totals[i] = inside @ inside
     return totals
 
 
@@ -843,14 +811,8 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
     max_rel, neg = next(
         (r[1], r[2]) for r in results if r[0] == "exact"
     )
-    evolved = np.concatenate(
-        [r[2] for r in sorted(results, key=lambda r: r[1] if r[0] != "exact" else -1)
-         if r[0] == "dist-evolved"]
-    )
-    static = np.concatenate(
-        [r[2] for r in sorted(results, key=lambda r: r[1] if r[0] != "exact" else -1)
-         if r[0] == "dist-static"]
-    )
+    evolved = np.concatenate([r[2] for r in results if r[0] == "dist-evolved"])
+    static = np.concatenate([r[2] for r in results if r[0] == "dist-static"])
     res = ks_test_two_sample(evolved, static)
     report.add_table(
         "exact",

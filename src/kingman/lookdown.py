@@ -9,12 +9,14 @@ list at a window start; :func:`~kingman.treelength.build_path` replays a
 log forward from it, and :func:`resolve_final_state` computes the final
 list backward from the log alone.
 
-Two samplers cover the infinite-level system: :func:`sample_line_lifelength`
-draws the total life length of a line born at a given level (sum of
-exponential sojourn times with rates C(j,2), truncated at a documented
-tolerance with the deterministic tail mean added back), and
-:func:`sample_infinite_deaths` builds the death point process of one level
-over a window via Poisson births on a burn-in-extended window.
+The infinite-level system has one life-length sampler,
+:func:`sample_lifelengths`: the total life of a line born at a given level
+is a sum of exponential sojourn times with rates C(j,2), truncated at a
+caller-chosen level J with the deterministic tail mean added back. Both
+infinite-level experiments draw through it: :func:`sample_infinite_deaths`
+builds the death point process of one level over a window via Poisson
+births on a burn-in-extended window (J from :func:`truncation_level_for`),
+and the divergence experiment sums squared lives level by level.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "pair_count",
     "resolve_final_state",
     "sample_infinite_deaths",
-    "sample_line_lifelength",
+    "sample_lifelengths",
     "sample_stationary_state",
     "simulate_events",
     "stationary_births",
@@ -93,7 +95,6 @@ class EventLog:
     times: np.ndarray
     sources: np.ndarray
     targets: np.ndarray
-    tie_perturbations: int = 0
 
     def __post_init__(self) -> None:
         if self.N < 2:
@@ -266,36 +267,31 @@ def truncation_level_for(birth_level: int, tol: float) -> int:
     return max(birth_level, 1 + math.ceil(2.0 / tol))
 
 
-def sample_line_lifelength(
-    birth_level: int, stream: RngStream, tol: float = 1e-6
-) -> float:
-    """Total life length of a line born at `birth_level` in the infinite system.
-
-    The line sojourns Exp(C(j,2)) at each level j >= birth_level; the sum is
-    truncated at J = smallest level with tail mean 2/(J-1) <= tol and the
-    deterministic tail mean is added back, so E[T] = 2/(birth_level - 1)
-    exactly for every tol while the discarded tail variance is below
-    (4/3) J^-3.
-    """
-    return float(_lifelength_matrix(birth_level, 1, stream, tol)[0])
-
-
-def _lifelength_matrix(
-    birth_level: int, count: int, stream: RngStream, tol: float
+def sample_lifelengths(
+    level: int, count: int, stream: RngStream, truncation_level: int
 ) -> np.ndarray:
-    """`count` i.i.d. life lengths for one birth level (vectorized).
+    """`count` i.i.d. total life lengths of lines born at `level`.
 
-    Works in row blocks of at most ~40M draws so deep truncations (small
-    tol) never materialize a multi-GB matrix.
+    The one sampler of the infinite-level life law. A line sojourns
+    Exp(C(j,2)) at each level j >= level; the sum is truncated at level
+    J = `truncation_level` and the deterministic tail mean 2/(J-1) is added
+    back, so E[T] = 2/(level - 1) exactly for every J while the discarded
+    tail variance is below (4/3) J^-3. J == level gives the exact mean.
+    Works in row blocks of at most ~40M draws so deep truncations never
+    materialize a multi-GB matrix.
     """
-    J = truncation_level_for(birth_level, tol)
+    if level < 2:
+        raise ValueError("level must be at least 2")
+    if truncation_level < level:
+        raise ValueError("truncation_level must be at least level")
+    J = truncation_level
     tail = 2.0 / (J - 1)
     if count == 0:
         return np.empty(0)
-    if J == birth_level:
+    if J == level:
         return np.full(count, tail)
-    width = J - birth_level
-    j = np.arange(birth_level, J, dtype=np.float64)
+    width = J - level
+    j = np.arange(level, J, dtype=np.float64)
     inv_rates = 2.0 / (j * (j - 1.0))
     out = np.empty(count)
     block = max(1, 40_000_000 // width)
@@ -372,8 +368,9 @@ def sample_infinite_deaths(
     """Sample one level's death point process on a window.
 
     Births arrive at Poisson rate (level - 1) on (s - burn_in, t]; each birth
-    gets an independent life length from :func:`sample_line_lifelength`;
-    deaths falling in (s, t] are kept, ordered. burn_in defaults to
+    gets an independent life length from :func:`sample_lifelengths`,
+    truncated at J = truncation_level_for(level, tol); deaths falling in
+    (s, t] are kept, ordered. burn_in defaults to
     :func:`default_burn_in` for the level.
     """
     if level < 2:
@@ -385,8 +382,9 @@ def sample_infinite_deaths(
         burn_in = default_burn_in(level)
     if burn_in < 0.0:
         raise ValueError("burn_in must be nonnegative")
+    J = truncation_level_for(level, tol)
     births = sample_poisson_times(stream, float(level - 1), (s - burn_in, t))
-    lives = _lifelength_matrix(level, births.size, stream, tol)
+    lives = sample_lifelengths(level, births.size, stream, J)
     deaths = births + lives
     keep = (deaths > s) & (deaths <= t)
     deaths, lives = deaths[keep], lives[keep]
@@ -398,5 +396,5 @@ def sample_infinite_deaths(
         life_lengths=lives[order],
         burn_in=float(burn_in),
         tol=float(tol),
-        truncation_level=truncation_level_for(level, tol),
+        truncation_level=J,
     )

@@ -335,11 +335,12 @@ def variance_scaling(
         raise ValueError("n_levels must be at least 2")
     if reps < 1:
         raise ValueError("reps must be positive")
-    rows = []
-    for eps in epsilons:
-        eps = float(eps)
+    eps_list = [float(eps) for eps in epsilons]
+    for eps in eps_list:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    rows = []
+    for eps in eps_list:
         inc = np.asarray(increment_sampler(eps, reps), dtype=np.float64)
         if inc.shape != (reps,):
             raise ValueError("increment sampler must return one increment per rep")

@@ -76,6 +76,12 @@ def test_simulate_path_requires_out():
     assert main(["simulate-path", "--n", "10"]) == 2
 
 
+def test_simulate_path_bad_seed_is_usage_error(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main(["simulate-path", "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["mean-length", "--reps", "200", "--seed", "2"]) == 0
     # far below the asymptotic regime the gumbel check genuinely fails

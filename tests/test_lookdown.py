@@ -23,11 +23,10 @@ from kingman.lookdown import (
     pair_count,
     resolve_final_state,
     sample_infinite_deaths,
-    sample_line_lifelength,
+    sample_lifelengths,
     sample_stationary_state,
     simulate_events,
     truncation_level_for,
-    _lifelength_matrix,
 )
 from kingman.rng import make_stream
 from kingman.stats import ks_test_two_sample
@@ -258,46 +257,43 @@ def test_truncation_level_values():
 
 def test_lifelength_degenerate_truncation_is_exact_mean():
     stream = make_stream(31, 0)
-    assert sample_line_lifelength(2, stream, tol=2.0) == 2.0
-    assert sample_line_lifelength(5, stream, tol=0.5) == 0.5
+    assert np.all(sample_lifelengths(2, 3, stream, 2) == 2.0)
+    assert np.all(sample_lifelengths(5, 1, stream, 5) == 0.5)
+    assert sample_lifelengths(3, 0, stream, 10).size == 0
+    with pytest.raises(ValueError):
+        sample_lifelengths(5, 1, stream, 4)
+    with pytest.raises(ValueError):
+        sample_lifelengths(1, 1, stream, 10)
 
 
 def test_lifelength_mean_level_2():
     stream = make_stream(31, 1)
-    draws = _lifelength_matrix(2, 20_000, stream, 1e-3)
+    draws = sample_lifelengths(2, 20_000, stream, 2001)
     se = math.sqrt(VAR_LIFE_2 / draws.size)
     assert abs(draws.mean() - 2.0) < 3.5 * se
 
 
 def test_lifelength_mean_deep_level():
     stream = make_stream(31, 2)
-    draws = _lifelength_matrix(1000, 20_000, stream, 1e-3)
+    draws = sample_lifelengths(1000, 20_000, stream, 2001)
     expect = 2.0 / 999.0
     assert abs(draws.mean() - expect) / expect < 1.5e-3
 
 
 def test_lifelength_mean_invariant_to_truncation():
-    # The tail mean is restored deterministically, so any tol is unbiased.
+    # The tail mean is restored deterministically, so any J is unbiased.
     stream = make_stream(31, 3)
-    for tol in (0.5, 1e-1, 1e-3):
-        draws = _lifelength_matrix(2, 20_000, stream, tol)
+    for J in (5, 21, 2001):
+        draws = sample_lifelengths(2, 20_000, stream, J)
         se = math.sqrt(VAR_LIFE_2 / draws.size)
         assert abs(draws.mean() - 2.0) < 3.5 * se
 
 
 def test_lifelength_variance_level_2():
     stream = make_stream(31, 4)
-    draws = _lifelength_matrix(2, 100_000, stream, 1e-3)
+    draws = sample_lifelengths(2, 100_000, stream, 2001)
     observed = draws.var(ddof=1)
     assert abs(observed - VAR_LIFE_2) / VAR_LIFE_2 < 0.04
-
-
-def test_scalar_sampler_agrees_with_matrix_law():
-    stream = make_stream(31, 5)
-    scalars = np.array([sample_line_lifelength(3, stream, 1e-2) for _ in range(4000)])
-    matrix = _lifelength_matrix(3, 4000, make_stream(31, 6), 1e-2)
-    result = ks_test_two_sample(scalars, matrix)
-    assert result.p_value > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,18 @@ def test_variance_scaling_with_pure_drift():
         variance_scaling(n, [0.1], 5, lambda eps, reps: np.zeros(reps + 1))
 
 
+def test_variance_scaling_checks_every_epsilon_before_sampling():
+    calls = []
+
+    def sampler(eps, reps):
+        calls.append(eps)
+        return np.zeros(reps)
+
+    with pytest.raises(ValueError):
+        variance_scaling(7, [0.01, 2.0], 5, sampler)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # RunningStats
 # ---------------------------------------------------------------------------
