@@ -21,9 +21,9 @@ def main():
     table = report.table("s_k")
     print(f"window length 1, {REPS} replicates")
     print()
-    print("  K      mean S(K)  se")
-    for k, mean, se in table["rows"]:
-        print(f"  {k:<5.0f}  {mean:9.3f}  {se:5.3f}")
+    print("  K      mean S(K)  se     exact E[S(K)]")
+    for k, mean, se, expected, _ in table["rows"]:
+        print(f"  {k:<5.0f}  {mean:9.3f}  {se:5.3f}  {expected:9.3f}")
 
     fit = report.verdict("slope_matches_log_divergence")
     print()

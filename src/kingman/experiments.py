@@ -24,13 +24,15 @@ import numpy as np
 
 from . import __version__
 from .lookdown import (
+    GAMMA_TAIL_LEVEL,
     EventLog,
     LookdownState,
-    default_burn_in,
+    life_moments,
+    life_skewness,
     pair_count,
     resolve_final_state,
     sample_infinite_deaths,
-    sample_lifelengths,
+    sample_lifelengths_gamma_tail,
     sample_stationary_state,
     simulate_events,
     stationary_births,
@@ -227,7 +229,8 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
 
     The verdict is inconclusive, rather than pass or fail, when the two
     standard error band of the sample mean is wider than the tolerance band
-    itself; small rep counts cannot decide the check either way.
+    itself; small rep counts cannot decide the check either way. The info
+    verdict `mean_z` states the relative error in standard errors.
     """
     params = _resolve("mean-length", {"n_leaves": n_leaves, "reps": reps})
     n, total = int(params["n_leaves"]), int(params["reps"])
@@ -250,12 +253,14 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
         status = "inconclusive"
     else:
         status = "pass" if rel_err <= rel_tol else "fail"
+    mean_z = rel_err / (acc.std_error / expected)
     report.add_table(
         "summary",
-        ["n_leaves", "reps", "mean", "se", "expected", "rel_error"],
-        [[n, total, acc.mean, acc.std_error, expected, rel_err]],
+        ["n_leaves", "reps", "mean", "se", "expected", "rel_error", "mean_z"],
+        [[n, total, acc.mean, acc.std_error, expected, rel_err, mean_z]],
     )
     report.add_verdict("mean_matches_expectation", rel_err, 0.0, rel_tol, status)
+    report.add_verdict("mean_z", mean_z, 0.0, None, "info")
     return report
 
 
@@ -424,31 +429,22 @@ def _squared_life_sums_one_rep(stream, k_max: int, window) -> np.ndarray:
     """One replicate's sum of squared life lengths dying in the window,
     resolved per birth level 2..k_max.
 
-    Lines of level k are born at Poisson rate (k - 1) on the window padded
-    backward by the level's burn-in (:func:`default_burn_in`), so deaths
-    inside the window are captured. The births are drawn as one Poisson
-    count per level plus that many uniform positions: a Poisson process on
-    an interval is exactly that, and the sum of squares needs neither the
-    births' order nor their gaps, so the sorted gap draws of
-    :func:`~kingman.rng.sample_poisson_times` would be wasted work. Lives
-    come from :func:`sample_lifelengths` truncated at J = k + 8: eight
-    exponential stages plus the deterministic tail mean 2/(k + 7). The
-    relative bias this leaves in the squared-sum scale is far below the
-    slope tolerance.
+    Lines of level k are born at Poisson rate (k - 1) and live i.i.d. T_k,
+    so by the displacement theorem their deaths form a Poisson(k - 1)
+    process in time whose every point carries an independent T_k-distributed
+    life. The deaths inside the window are therefore Poisson((k - 1) span)
+    lives drawn straight from T_k: no births, no burn-in, no in-window
+    mask. Lives come from :func:`sample_lifelengths_gamma_tail` with the
+    Gamma tail from :data:`GAMMA_TAIL_LEVEL`, so E[T_k^2] = m_k^2 + v_k and
+    the mean of every level sum are exact.
     """
-    t0, t1 = window
-    span = t1 - t0
-    gen = stream.generator
+    span = window[1] - window[0]
     levels = np.arange(2, k_max + 1)
-    pad = span + default_burn_in(levels)
-    counts = gen.poisson((levels - 1.0) * pad)
+    counts = stream.generator.poisson((levels - 1.0) * span)
     totals = np.empty(k_max - 1)
     for i, (k, count) in enumerate(zip(levels.tolist(), counts.tolist())):
-        births = t1 - pad[i] * gen.random(count)
-        lives = sample_lifelengths(k, count, stream, k + 8)
-        deaths = births + lives
-        inside = lives[(deaths > t0) & (deaths <= t1)]
-        totals[i] = inside @ inside
+        lives = sample_lifelengths_gamma_tail(k, count, stream, GAMMA_TAIL_LEVEL)
+        totals[i] = lives @ lives
     return totals
 
 
@@ -470,7 +466,11 @@ def run_divergence(seed: int = 0, k_grid=None,
 
     The mean of S(K) grows like (4 window-length) ln K, so the OLS slope of
     the replicate mean against ln K is checked against that value, and each
-    replicate's S(K) must be strictly increasing in K.
+    replicate's S(K) must be strictly increasing in K. The `s_k` table also
+    carries the exact mean E[S(K)] = span sum_{k<=K} (k-1)(m_k^2 + v_k)
+    (:func:`~kingman.lookdown.life_moments`) and the z-score of the Monte
+    Carlo mean against it; the largest |z| is an info verdict. The
+    `gamma_tail` table states the Gamma tail level and its skewness gap.
     """
     params = _resolve("divergence", {
         "k_grid": k_grid, "window": window, "reps": reps,
@@ -498,19 +498,33 @@ def run_divergence(seed: int = 0, k_grid=None,
     matrix = np.vstack(_map_blocks(_divergence_block, args, workers))
     mean_s = matrix.mean(axis=0)
     se_s = matrix.std(axis=0, ddof=1) / math.sqrt(total)
+    span = win[1] - win[0]
+    mean_t, var_t = life_moments(np.arange(2, grid[-1] + 1))
+    per_level = (np.arange(1, grid[-1]) * (mean_t**2 + var_t)) * span
+    expected_s = np.cumsum(per_level)[np.asarray(grid) - 2]
+    z_s = (mean_s - expected_s) / se_s
     slope, intercept, r2 = fit_log_slope(np.asarray(grid, float), mean_s)
-    expected_slope = 4.0 * (win[1] - win[0])
+    expected_slope = 4.0 * span
     increasing = float(np.mean(np.all(np.diff(matrix, axis=1) > 0.0, axis=1)))
     report.add_table(
         "s_k",
-        ["k", "mean_s", "se_s"],
-        [[k, float(mu), float(se)] for k, mu, se in zip(grid, mean_s, se_s)],
+        ["k", "mean_s", "se_s", "expected_s", "z"],
+        [[k, float(mu), float(se), float(ex), float(z)]
+         for k, mu, se, ex, z in zip(grid, mean_s, se_s, expected_s, z_s)],
     )
     report.add_table(
         "fit",
         ["slope", "intercept", "r_squared", "expected_slope",
          "strictly_increasing_fraction"],
         [[slope, intercept, r2, expected_slope, increasing]],
+    )
+    tail_mean, tail_var = life_moments(GAMMA_TAIL_LEVEL)
+    gamma_skew = float(2.0 * math.sqrt(tail_var) / tail_mean)  # 2/sqrt(m^2/v)
+    true_skew = life_skewness(GAMMA_TAIL_LEVEL)
+    report.add_table(
+        "gamma_tail",
+        ["gamma_level", "skewness", "gamma_skewness", "skewness_mismatch"],
+        [[GAMMA_TAIL_LEVEL, true_skew, gamma_skew, abs(true_skew - gamma_skew)]],
     )
     rel_tol = float(params["slope_rel_tol"])
     report.add_verdict(
@@ -522,6 +536,8 @@ def run_divergence(seed: int = 0, k_grid=None,
         "replicates_strictly_increasing", increasing, 1.0, 0.0,
         "pass" if increasing == 1.0 else "fail",
     )
+    worst_z = float(z_s[np.argmax(np.abs(z_s))])
+    report.add_verdict("mean_s_matches_expected_z", worst_z, 0.0, None, "info")
     return report
 
 

@@ -196,21 +196,19 @@ def sample_static_kingman_length(
     """Draw the total length of a static N-leaf coalescent tree.
 
     The tree spends Exp(C(k,2)) with k lineages, contributing k times that,
-    for k = 2..N; the draws sum those contributions directly. Returns a
-    scalar when size is None, else an array of `size` independent draws.
+    for k = 2..N, so L_N = 2 sum_{j=1}^{N-1} E_j / j for i.i.d. Exp(1) E_j.
+    By Renyi's representation that is twice the maximum of N-1 i.i.d.
+    Exp(1), whose CDF is (1 - e^-x)^(N-1); each draw inverts it at one
+    uniform U in [0, 1): L_N = -2 ln(1 - U^(1/(N-1))), computed through
+    expm1 so U^(1/(N-1)) near 1 (large N) keeps its digits. U = 0 gives
+    exactly 0.
+    Returns a scalar when size is None, else an array of `size` draws.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    k = np.arange(2, N + 1, dtype=np.float64)
-    inv_rates = 2.0 / (k * (k - 1.0))
-    weights = k * inv_rates
-    reps = 1 if size is None else int(size)
-    out = np.empty(reps)
-    block = max(1, 40_000_000 // (N - 1))
-    for lo in range(0, reps, block):
-        hi = min(reps, lo + block)
-        draws = stream.generator.standard_exponential((hi - lo, N - 1))
-        out[lo:hi] = draws @ weights
+    u = stream.generator.random(1 if size is None else int(size))
+    with np.errstate(divide="ignore"):  # log(0) = -inf maps to length 0
+        out = -2.0 * np.log(-np.expm1(np.log(u) / (N - 1)))
     if size is None:
         return float(out[0])
     return out

@@ -166,7 +166,7 @@ def test_csv_format_writes_one_file_per_table(tmp_path):
     assert summary.exists() and defaults.exists()
     with open(summary) as fp:
         meta, rows = read_header_comments(
-            fp, "n_leaves,reps,mean,se,expected,rel_error"
+            fp, "n_leaves,reps,mean,se,expected,rel_error,mean_z"
         )
     assert meta["experiment"] == "mean-length"
     assert meta["seed"] == "6"

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from kingman import experiments as ex
-from kingman.lookdown import sample_infinite_deaths
+from kingman.lookdown import GAMMA_TAIL_LEVEL, sample_infinite_deaths
 from kingman.reports import ExperimentReport
 from kingman.rng import make_stream
-from kingman.stats import ks_test_two_sample
+from kingman.stats import fit_log_slope
 
 
 def _all_cells(report: ExperimentReport):
@@ -125,25 +125,51 @@ def test_divergence_slope_tracks_window_length():
 
 @pytest.fixture(scope="module")
 def divergence_level_sums():
+    # Levels 2..5 from 10^4 replicates of K = 5, level 40 from 4000 of K = 40.
     stream = make_stream(47, 0)
-    return np.array([
-        ex._squared_life_sums_one_rep(stream, 40, (0.0, 1.0)) for _ in range(4000)
-    ])
+    low = [ex._squared_life_sums_one_rep(stream, 5, (0.0, 1.0)) for _ in range(10_000)]
+    high = [ex._squared_life_sums_one_rep(stream, 40, (0.0, 1.0))[-1] for _ in range(4000)]
+    sums = {k: np.array([row[k - 2] for row in low]) for k in range(2, 6)}
+    sums[40] = np.array(high)
+    return sums
 
 
 @pytest.mark.parametrize("k", [2, 5, 40])
-def test_divergence_level_sums_match_literal_death_route(divergence_level_sums, k):
-    # The divergence loop (count plus uniform births, J = k + 8) against the
-    # literal route: the level's death process from sample_infinite_deaths
-    # at the tolerance that puts its truncation at the same J.
+def test_divergence_level_sums_match_literal_death_route(
+    divergence_level_sums, k, assert_same_law
+):
+    # The divergence loop (Poisson death count, Gamma-tailed lives) against
+    # the literal route: births on a burn-in window, lives of 2000 exact
+    # stages with the tail mean added (J = k + 2000; the dropped tail
+    # variance is below 1e-9), deaths in the window. The half in the
+    # tolerance keeps ceil(2 / tol) off a float-rounding edge.
+    draws = divergence_level_sums[k].size
     stream = make_stream(47, k)
-    literal = np.empty(4000)
-    for i in range(literal.size):
-        sample = sample_infinite_deaths(k, (0.0, 1.0), stream, tol=2.0 / (k + 7))
-        assert sample.truncation_level == k + 8
+    literal = np.empty(draws)
+    for i in range(draws):
+        sample = sample_infinite_deaths(k, (0.0, 1.0), stream, tol=2.0 / (k + 1998.5))
+        assert sample.truncation_level == k + 2000
         literal[i] = sample.life_lengths @ sample.life_lengths
-    result = ks_test_two_sample(divergence_level_sums[:, k - 2], literal)
-    assert result.p_value > 1e-3
+    assert_same_law(divergence_level_sums[k], literal)
+
+
+def test_divergence_reports_exact_mean_and_gamma_tail():
+    report = ex.run_divergence(seed=0, reps=2)
+    rows = report.table("s_k")["rows"]
+    grid = np.array([row[0] for row in rows], dtype=float)
+    slope, _, _ = fit_log_slope(grid, np.array([row[3] for row in rows]))
+    assert round(slope, 3) == 4.034
+    # E[S(16)] = sum_{k=2}^{16} (k-1)(m_k^2 + v_k) with v_k summed directly
+    j = np.arange(10**6, 1, -1, dtype=float)
+    terms = 4.0 / (j * (j - 1.0)) ** 2
+    tails = np.cumsum(terms)[::-1]  # tails[k - 2] = v_k
+    direct = sum((k - 1) * ((2.0 / (k - 1)) ** 2 + tails[k - 2]) for k in range(2, 17))
+    assert rows[0][3] == pytest.approx(direct, rel=1e-9)
+    assert report.verdict("mean_s_matches_expected_z").status == "info"
+    gamma_level, skew, gamma_skew, gap = report.table("gamma_tail")["rows"][0]
+    assert gamma_level == GAMMA_TAIL_LEVEL
+    assert gap == pytest.approx(skew - gamma_skew) and 0.0 < gap < 0.06
+    _assert_verdicts_reference_cells(report)
 
 
 def test_divergence_validation():

@@ -12,20 +12,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from kingman import _kernels
 from kingman.lookdown import (
+    GAMMA_TAIL_LEVEL,
     EventLog,
     LookdownState,
     SequencingError,
     decode_pair,
     default_burn_in,
+    life_moments,
+    life_skewness,
     pair_count,
     resolve_final_state,
     sample_infinite_deaths,
     sample_lifelengths,
+    sample_lifelengths_gamma_tail,
     sample_stationary_state,
     simulate_events,
+    _trigamma,
     truncation_level_for,
 )
 from kingman.rng import make_stream
@@ -294,6 +300,76 @@ def test_lifelength_variance_level_2():
     draws = sample_lifelengths(2, 100_000, stream, 2001)
     observed = draws.var(ddof=1)
     assert abs(observed - VAR_LIFE_2) / VAR_LIFE_2 < 0.04
+
+
+def test_trigamma_matches_scipy():
+    k = np.arange(1, 20_001)
+    psi = _trigamma(k)
+    assert np.max(np.abs(psi / special.polygamma(1, k) - 1.0)) < 1e-9
+    assert _trigamma(1) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+    assert _trigamma(64) - _trigamma(65) == pytest.approx(1.0 / 64**2, rel=1e-9)
+    with pytest.raises(ValueError):
+        _trigamma(0)
+
+
+@pytest.mark.parametrize("level", [2, 5, GAMMA_TAIL_LEVEL, 300, 4096])
+def test_life_moments_match_direct_sums(level):
+    # v_k = sum_{j>=k} 4/(j(j-1))^2, summed smallest terms first; the tail
+    # past 2000 k is below 1e-9 relative.
+    j = np.arange(2000.0 * level, level - 1.0, -1.0)
+    mean, var = life_moments(level)
+    assert mean == 2.0 / (level - 1)
+    assert var == pytest.approx(np.sum(4.0 / (j * (j - 1.0)) ** 2), rel=2e-9)
+    _, variances = life_moments(np.array([2, level]))
+    assert variances[0] == pytest.approx(VAR_LIFE_2, rel=1e-14)
+    assert variances[1] == var
+    with pytest.raises(ValueError):
+        life_moments(1)
+
+
+def test_gamma_tail_level_meets_skewness_bound():
+    # The Gamma tail's skewness 2/sqrt(a) = sqrt(v_k) (k - 1) undershoots the
+    # exact skewness by a gap that shrinks with the level; from
+    # GAMMA_TAIL_LEVEL on it stays under the stated bound 0.06.
+    def gap(k):
+        _, var = life_moments(k)
+        return life_skewness(k) - math.sqrt(var) * (k - 1)
+
+    gaps = [gap(k) for k in (32, GAMMA_TAIL_LEVEL, 4096)]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+    assert gaps[1] < 0.06
+    j = np.arange(20_000.0, 1.0, -1.0)
+    kappa3 = np.sum(2.0 * (2.0 / (j * (j - 1.0))) ** 3)
+    assert life_skewness(2) == pytest.approx(kappa3 / VAR_LIFE_2**1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [GAMMA_TAIL_LEVEL - 1, GAMMA_TAIL_LEVEL, 4096])
+def test_gamma_tail_lives_match_deep_truncation(level, assert_same_law):
+    # Reference: 2000 exact stages, then the tail from level + 2000. Its
+    # variance share (level / (level + 2000))^3 is 1.5e-3 at level 256, where
+    # the tail may as well be its mean, but 0.30 at level 4096, where a
+    # constant tail (sample_lifelengths alone) fails KS at p = 0. So the
+    # reference keeps that tail random through the same Gamma matching.
+    stream = make_stream(33, level)
+    gamma = sample_lifelengths_gamma_tail(level, 10_000, stream, GAMMA_TAIL_LEVEL)
+    deep = np.concatenate([
+        sample_lifelengths_gamma_tail(level, 2_500, stream, level + 2000)
+        for _ in range(4)
+    ])
+    assert_same_law(gamma, deep)
+
+
+def test_gamma_tail_lives_exact_moments():
+    stream = make_stream(33, 0)
+    for level in (5, GAMMA_TAIL_LEVEL, 1000):
+        draws = sample_lifelengths_gamma_tail(level, 200_000, stream, GAMMA_TAIL_LEVEL)
+        mean, var = life_moments(level)
+        se = math.sqrt(var / draws.size)
+        assert abs(draws.mean() - mean) < 4.0 * se
+        assert draws.var(ddof=1) == pytest.approx(var, rel=0.02)
+    assert sample_lifelengths_gamma_tail(3, 0, stream, GAMMA_TAIL_LEVEL).size == 0
+    with pytest.raises(ValueError):
+        sample_lifelengths_gamma_tail(1, 5, stream, GAMMA_TAIL_LEVEL)
 
 
 # ---------------------------------------------------------------------------

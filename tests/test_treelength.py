@@ -1,6 +1,7 @@
 """Length-path tests: exact drift, jump anatomy, and the backward oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,42 @@ def test_static_length_sampler_moments():
     assert abs(draws.mean() - MEAN_LEN_11) < 3.5 * se
     with pytest.raises(ValueError):
         sample_static_kingman_length(1, stream)
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 10_000])
+def test_static_length_matches_literal_stage_sum(n, assert_same_law):
+    # The one-uniform inversion against the literal sum of k Exp(C(k,2))
+    # over k = 2..n, built in row blocks to bound memory at n = 10^4.
+    reps = 10_000
+    sampled = sample_static_kingman_length(n, make_stream(61, n), size=reps)
+    gen = make_stream(62, n).generator
+    k = np.arange(2, n + 1, dtype=np.float64)
+    weights = k * 2.0 / (k * (k - 1.0))
+    block = max(1, 2_000_000 // (n - 1))
+    literal = np.concatenate([
+        gen.standard_exponential((min(block, reps - lo), n - 1)) @ weights
+        for lo in range(0, reps, block)
+    ])
+    assert_same_law(sampled, literal)
+
+
+def test_static_length_edge_uniforms_give_finite_lengths():
+    class EdgeGenerator:
+        def random(self, size):
+            return np.array([0.0, np.nextafter(1.0, 0.0), 0.5])[:size]
+
+    class EdgeStream:
+        generator = EdgeGenerator()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 11, 10_000):
+            out = sample_static_kingman_length(n, EdgeStream(), size=3)
+            assert np.all(np.isfinite(out))
+            assert out[0] == 0.0
+            # U = 1/2 is the median: twice the median of a max of n-1 Exp(1)
+            assert out[2] == pytest.approx(-2.0 * math.log(1.0 - 0.5 ** (1.0 / (n - 1))))
+        assert sample_static_kingman_length(5, EdgeStream()) == 0.0
 
 
 def test_evolved_stationary_length_keeps_static_law():
