@@ -19,13 +19,15 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import __version__
 from .experiments import DEFAULTS, EXPERIMENTS, ORDINALS
 from .lookdown import sample_stationary_state, simulate_events
 from .reports import ExperimentReport, format_value, write_header_comments
 from .rng import GENERATOR_ID, derive_stream_id, make_stream
 from .svg import emit_svg
-from .treelength import build_path
+from .treelength import TreeLengthPath, build_path
 
 __all__ = ["CliConfig", "main", "read_config_file"]
 
@@ -306,6 +308,26 @@ def _meta_description(experiment: str, seed: int, params: dict) -> str:
     return " ".join(parts)
 
 
+def _path_corners(path: TreeLengthPath) -> np.ndarray:
+    """(time, value) rows of a path's corners: the start, each jump's left
+    limit and landing value, and the end.
+
+    The values are the running sums v0 + slope * (jump time - previous
+    time) - jump size, taken by one sequential cumsum in that order.
+    """
+    n = path.n_jumps
+    steps = np.empty(2 * n + 1)
+    steps[0] = path.v0
+    steps[1::2] = path.slope * np.diff(path.jump_times, prepend=path.t0)
+    steps[2::2] = -path.jump_sizes
+    corners = np.empty((2 * n + 2, 2))
+    corners[0, 0] = path.t0
+    corners[1:-1, 0] = np.repeat(path.jump_times, 2)
+    corners[-1] = (path.t1, path.final_value)
+    corners[:-1, 1] = np.cumsum(steps)
+    return corners
+
+
 def _run_simulate_path(cfg: CliConfig) -> int:
     n = 30 if cfg.n is None else cfg.n
     t0 = 0.0 if cfg.t0 is None else cfg.t0
@@ -320,14 +342,7 @@ def _run_simulate_path(cfg: CliConfig) -> int:
     state = sample_stationary_state(n, t0, stream)
     log = simulate_events(n, (t0, t1), stream)
     path = build_path(state, log, compensated=True)
-    points = [(path.t0, path.v0)]
-    value = path.v0
-    for jt, js in zip(path.jump_times, path.jump_sizes):
-        left = value + path.slope * (jt - points[-1][0])
-        points.append((float(jt), left))
-        points.append((float(jt), left - float(js)))
-        value = left - float(js)
-    points.append((path.t1, path.final_value))
+    points = _path_corners(path)
 
     out = _resolve_out(cfg.out)
     meta = {
@@ -343,8 +358,10 @@ def _run_simulate_path(cfg: CliConfig) -> int:
     with open(out, "w", encoding="utf-8") as fp:
         write_header_comments(fp, meta)
         fp.write("time,length\n")
-        for x, y in points:
-            fp.write(f"{format_value(x)},{format_value(y)}\n")
+        # repr is format_value's text for every double, nan and inf included.
+        for lo in range(0, len(points), 8192):
+            rows = points[lo:lo + 8192].tolist()
+            fp.write("".join([f"{x!r},{y!r}\n" for x, y in rows]))
     written = [out]
     if cfg.svg:
         svg_path = os.path.splitext(out)[0] + ".svg"

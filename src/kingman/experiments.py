@@ -18,7 +18,6 @@ Experiment ordinals: 0 simulate-path (the CLI path writer), 1 mean-length,
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -197,6 +196,10 @@ def _map_blocks(fn, arg_list: list, workers: int) -> list:
     """Apply `fn` to each block descriptor, returning results in block order."""
     if workers <= 1 or len(arg_list) <= 1:
         return [fn(a) for a in arg_list]
+    # Imported here: it pulls in multiprocessing, which a one-worker run
+    # never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, arg_list))
 

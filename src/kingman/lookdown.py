@@ -221,6 +221,51 @@ def sample_stationary_state(N: int, t0: float, stream: RngStream) -> "LookdownSt
     return LookdownState(N, t0, stationary_births(N, t0, stream))
 
 
+# A prefix of at most this many events is walked whole: one numpy pass
+# costs about as much as walking that many events in Python.
+_SHORT_PREFIX = 64
+
+
+def _block_shrinking_events(targets: np.ndarray, stop: int, block: int) -> np.ndarray:
+    """Indices, last to first, of the events before `stop` that shrink the block.
+
+    Scanning backward from index stop - 1 with the bottom block of levels
+    {1, ..., block}, an event with target k <= block shrinks the block by
+    one; the others are inert. The scan ends when the block reaches 1 or
+    the log runs out.
+
+    Cost: an inert event stays inert as the block shrinks, so each pass
+    keeps, with one numpy filter, the events before `stop` whose target is
+    at most the block, and Python walks the last 4 * block + 64 of them
+    until the block has shrunk to a quarter (if they run out first, the
+    next pass filters again from there). Under the pair law about 3B
+    candidates are walked while the block shrinks from B to B/4, so a scan
+    from block N costs O(N) Python steps and O(log N) numpy passes over
+    the log, not one Python step per event. A prefix of at most
+    :data:`_SHORT_PREFIX` events is walked whole, without the filter.
+    """
+    hits: list[int] = []
+    while block > 1 and stop > 0:
+        if stop > _SHORT_PREFIX:
+            floor = block // 4
+            candidates = np.flatnonzero(targets[:stop] <= block)
+            tail = candidates[-(4 * block + _SHORT_PREFIX):][::-1]
+            walk = zip(tail.tolist(), targets[tail].tolist())
+            stop = int(tail[-1]) if tail.size else 0
+        else:
+            floor = 1
+            walk = zip(range(stop - 1, -1, -1), targets[stop - 1::-1].tolist())
+            stop = 0
+        for idx, k in walk:
+            if k <= block:
+                hits.append(idx)
+                block -= 1
+                if block == floor:
+                    stop = idx
+                    break
+    return np.array(hits, dtype=np.int64)
+
+
 def resolve_final_state(log: EventLog, initial_births) -> np.ndarray:
     """Births of levels 2..N at log.t_end, computed backward from the log.
 
@@ -231,28 +276,24 @@ def resolve_final_state(log: EventLog, initial_births) -> np.ndarray:
     level k (the (k-1)-th smallest unresolved final level), and shrinks the
     block. Final levels still unresolved at the window start sat at their
     block levels then, so they inherit the initial births of levels 2..K in
-    order. Matches forward replay exactly, float for float.
+    order. Matches forward replay exactly, float for float: it only copies
+    times.
+
+    Cost: the inert events are skipped by :func:`_block_shrinking_events`
+    (O(N) Python steps and O(log N) numpy passes over the log); each of
+    the at most N - 1 shrinking events then pops one unresolved level.
     """
-    initial = [float(x) for x in initial_births]
-    if len(initial) != log.N - 1:
+    initial = np.asarray(initial_births, dtype=np.float64)
+    if initial.shape != (log.N - 1,):
         raise ValueError(f"need {log.N - 1} initial birth times")
-    births = np.empty(log.N - 1)
-    unresolved = list(range(2, log.N + 1))
-    targets = log.targets.tolist()
-    times = log.times.tolist()
-    block = len(unresolved) + 1
-    for idx in range(log.n_events - 1, -1, -1):
-        k = targets[idx]
-        if k > block:
-            continue
-        level = unresolved.pop(k - 2)
-        births[level - 2] = times[idx]
-        block -= 1
-        if block == 1:
-            break
-    for block_pos, level in enumerate(unresolved):
-        births[level - 2] = initial[block_pos]
-    return births
+    hits = _block_shrinking_events(log.targets, log.n_events, log.N)
+    births = [0.0] * (log.N - 1)
+    unresolved = list(range(log.N - 1))  # levels 2..N, 0-based
+    for k, t in zip(log.targets[hits].tolist(), log.times[hits].tolist()):
+        births[unresolved.pop(k - 2)] = t
+    for level, birth in zip(unresolved, initial.tolist()):
+        births[level] = birth
+    return np.array(births)
 
 
 # ---------------------------------------------------------------------------

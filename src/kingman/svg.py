@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["emit_svg"]
 
 _PALETTE = (
@@ -73,9 +75,11 @@ def emit_svg(
     """Render labeled (x, y) series as a self-contained SVG document.
 
     `series` is a list of (label, points) pairs, points an iterable of
-    (x, y). With step=True each series is drawn as a right-continuous
-    staircase (the value holds until the next point), which is the correct
-    rendering for jump processes sampled at their jump times.
+    (x, y) or an (n, 2) float array; arrays are mapped to plot coordinates
+    with numpy, by the same operations as single points. With step=True
+    each series is drawn as a right-continuous staircase (the value holds
+    until the next point), which is the correct rendering for jump
+    processes sampled at their jump times.
 
     Raises ValueError when no series or an empty series is supplied.
     """
@@ -84,18 +88,19 @@ def emit_svg(
         raise ValueError("need at least one series")
     cleaned = []
     for label, points in series:
-        pts = [(float(x), float(y)) for x, y in points]
-        if not pts:
+        pts = np.asarray(points, dtype=np.float64)
+        if not pts.size:
             raise ValueError(f"series {label!r} has no points")
-        for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"series {label!r} has non-finite points")
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"series {label!r} points are not (x, y) pairs")
+        if not np.isfinite(pts).all():
+            raise ValueError(f"series {label!r} has non-finite points")
         cleaned.append((str(label), pts))
 
-    x_lo = min(x for _, pts in cleaned for x, _ in pts)
-    x_hi = max(x for _, pts in cleaned for x, _ in pts)
-    y_lo = min(y for _, pts in cleaned for _, y in pts)
-    y_hi = max(y for _, pts in cleaned for _, y in pts)
+    x_lo = min(float(pts[:, 0].min()) for _, pts in cleaned)
+    x_hi = max(float(pts[:, 0].max()) for _, pts in cleaned)
+    y_lo = min(float(pts[:, 1].min()) for _, pts in cleaned)
+    y_hi = max(float(pts[:, 1].max()) for _, pts in cleaned)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -186,13 +191,14 @@ def emit_svg(
 
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
+        xs, ys = pts[:, 0], pts[:, 1]
         if step and len(pts) > 1:
-            walked = [pts[0]]
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-                walked.append((x1, y0))
-                walked.append((x1, y1))
-            pts = walked
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+            # (x0, y0), then (x1, y0), (x1, y1), (x2, y1), (x2, y2), ...
+            xs = np.concatenate((xs[:1], np.repeat(xs[1:], 2)))
+            ys = np.concatenate((np.repeat(ys[:-1], 2), ys[-1:]))
+        coords = " ".join(
+            map("{:.2f},{:.2f}".format, sx(xs).tolist(), sy(ys).tolist())
+        )
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lookdown import EventLog, LookdownState, pair_count
+from .lookdown import EventLog, LookdownState, _block_shrinking_events, pair_count
 from .rng import RngStream
 
 __all__ = [
@@ -171,23 +171,29 @@ def reconstruct_length_backward(log: EventLog, t: float) -> float:
     lineages exactly when k is at most the current count, because the
     ancestral trajectories always occupy the bottom block of levels. Raises
     InsufficientHistoryError when the log ends before the root is reached.
+
+    Cost: the merging events come from
+    :func:`~kingman.lookdown._block_shrinking_events` (O(N) Python steps and
+    O(log N) numpy passes over the log). The per-event terms
+    lineages * (clock - event time) are then built as arrays and added by
+    a sequential cumsum in the order of an event-by-event walk, so the
+    result is the same double that walk gives.
     """
     if not (log.t_start <= t <= log.t_end):
         raise ValueError(f"t={t} outside the log window")
-    lineages = log.N
-    total = 0.0
-    clock = t
-    start = int(np.searchsorted(log.times, t, side="right")) - 1
-    for idx in range(start, -1, -1):
-        total += lineages * (clock - float(log.times[idx]))
-        clock = float(log.times[idx])
-        if int(log.targets[idx]) <= lineages:
-            lineages -= 1
-            if lineages == 1:
-                return total
-    raise InsufficientHistoryError(
-        f"log reaches {log.t_start} with {lineages} lineages unmerged"
-    )
+    stop = int(np.searchsorted(log.times, t, side="right"))
+    merges = _block_shrinking_events(log.targets, stop, log.N)
+    if len(merges) < log.N - 1:
+        raise InsufficientHistoryError(
+            f"log reaches {log.t_start} with {log.N - len(merges)} lineages unmerged"
+        )
+    # Events from the query back to the root merger, last to first.
+    times = log.times[merges[-1]:stop][::-1]
+    clocks = np.concatenate(([t], times[:-1]))
+    merged = np.zeros(times.size, dtype=np.int64)
+    merged[stop - 1 - merges] = 1
+    lineages = log.N - (np.cumsum(merged) - merged)  # count before each event
+    return float(np.cumsum(lineages * (clocks - times))[-1])
 
 
 def sample_static_kingman_length(

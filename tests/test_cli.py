@@ -1,8 +1,10 @@
 """CLI, config file, and SVG emitter tests."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from kingman.cli import main, read_config_file
@@ -70,6 +72,23 @@ def test_simulate_path_rerun_is_byte_identical(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+def test_simulate_path_output_bytes_are_pinned(tmp_path):
+    # Digests of the files written by the per-point writer this one
+    # replaced (they embed the package version in their headers). The
+    # bulk writer must reproduce them byte for byte.
+    out = tmp_path / "path.csv"
+    assert main([
+        "simulate-path", "--n", "30", "--t0", "0", "--t1", "5",
+        "--seed", "7", "--svg", "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "dfd5da3e9a26cd0f3bbdb8e4f6709ff469089c2b36d98a5e2dd38d86b8da0e90"
+    )
+    assert hashlib.sha256((tmp_path / "path.svg").read_bytes()).hexdigest() == (
+        "a6df1e9a81d25d57de6d3ab78371eb63c567a0d4dbca0b53de5184901e662acc"
+    )
 
 
 def test_simulate_path_requires_out():
@@ -204,6 +223,10 @@ def test_emit_svg_validation():
         emit_svg([("empty", [])])
     with pytest.raises(ValueError):
         emit_svg([("bad", [(0.0, math.nan)])])
+    with pytest.raises(ValueError):
+        emit_svg([("bad", np.full((3, 2), math.inf))])
+    with pytest.raises(ValueError):
+        emit_svg([("flat", [0.0, 1.0, 2.0])])
 
 
 def test_emit_svg_step_mode_and_escaping():
@@ -218,6 +241,22 @@ def test_emit_svg_step_mode_and_escaping():
     assert count_coords(stepped) == 2 * count_coords(flat) - 1
     # determinism
     assert emit_svg([("s", pts)], step=True) == stepped
+
+
+def test_emit_svg_step_mode_bytes_are_pinned():
+    # Digest of the per-point renderer's output; list and array points
+    # must both reproduce it.
+    stairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 0.5), (3.5, -1.25), (4.0, 0.75)]
+    two = [(0.5, 0.0), (2.5, 3.0)]
+    one = [(1.5, 1.0)]
+    for wrap in (list, np.array):
+        doc = emit_svg(
+            [("staircase", wrap(stairs)), ("two", wrap(two)), ("one", wrap(one))],
+            title="t", x_label="x", y_label="y", step=True, description="d",
+        )
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "aae8a05d40357777931879a7ad6d17549a0c87c7eb69d30dbe7ecb428b9c1245"
+        )
 
 
 def test_emit_svg_degenerate_ranges_render():

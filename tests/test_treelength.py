@@ -163,6 +163,94 @@ def test_backward_reconstruction_needs_enough_history():
         reconstruct_length_backward(log, 0.02)
 
 
+# ---------------------------------------------------------------------------
+# Both backward scans against literal per-event walks
+# ---------------------------------------------------------------------------
+
+def _literal_resolve(log, initial):
+    """Event-by-event backward resolution; also returns the final block."""
+    births = np.empty(log.N - 1)
+    unresolved = list(range(2, log.N + 1))
+    block = log.N
+    for idx in range(log.n_events - 1, -1, -1):
+        k = int(log.targets[idx])
+        if k > block:
+            continue
+        births[unresolved.pop(k - 2) - 2] = log.times[idx]
+        block -= 1
+        if block == 1:
+            break
+    for pos, level in enumerate(unresolved):
+        births[level - 2] = initial[pos]
+    return births, block
+
+
+def _literal_reconstruct(log, t):
+    """Event-by-event lineage integral; None when the root is not reached."""
+    lineages = log.N
+    total = 0.0
+    clock = t
+    for idx in range(int(np.searchsorted(log.times, t, side="right")) - 1, -1, -1):
+        total += lineages * (clock - float(log.times[idx]))
+        clock = float(log.times[idx])
+        if int(log.targets[idx]) <= lineages:
+            lineages -= 1
+            if lineages == 1:
+                return total
+    return None
+
+
+def _assert_scans_match_literal(log, queries, initial):
+    """Compare both scans with the literal walks; return how many queries
+    reached the root."""
+    want, _ = _literal_resolve(log, initial)
+    assert np.array_equal(resolve_final_state(log, initial), want)
+    reached = 0
+    for t in queries:
+        want = _literal_reconstruct(log, float(t))
+        if want is None:
+            with pytest.raises(InsufficientHistoryError):
+                reconstruct_length_backward(log, float(t))
+        else:
+            assert reconstruct_length_backward(log, float(t)) == want
+            reached += 1
+    return reached
+
+
+def _uniform_target_log(N, n_events, stream):
+    """A log whose targets are uniform on 2..N, so the block reaches 1 after
+    about N ln N events rather than the pair law's N^2."""
+    times = np.unique(stream.generator.uniform(0.0, 1.0, n_events))
+    times = times[times > 0.0]
+    targets = stream.generator.integers(2, N + 1, times.size)
+    return EventLog(N, 0.0, 1.0, times, np.ones_like(targets), targets)
+
+
+@pytest.mark.parametrize("N", [2, 3, 10, 100, 1000])
+def test_backward_scans_match_literal_walks(N):
+    stream = make_stream(61, N)
+    log = _uniform_target_log(N, int(6 * N * (1 + math.log(N))), stream)
+    initial = -stream.generator.random(N - 1)
+    queries = np.concatenate((
+        [log.t_start, log.t_end], log.times[:: max(1, log.n_events // 15)],
+        stream.generator.uniform(0.0, 1.0, 15),
+    ))
+    assert _literal_resolve(log, initial)[1] == 1
+    assert 0 < _assert_scans_match_literal(log, queries, initial) < len(queries)
+    # An empty log and one of N - 2 events: neither brings the block to 1.
+    for head in (slice(0, 0), slice(0, N - 2)):
+        short = EventLog(N, 0.0, 1.0, log.times[head], log.sources[head],
+                         log.targets[head])
+        assert _literal_resolve(short, initial)[1] > 1
+        assert _assert_scans_match_literal(short, queries, initial) == 0
+    # Pair-law logs, from a few events up to past the root.
+    if N <= 100:
+        for span in (0.3 / (N * N), 0.05, 1.0, 6.0):
+            log = simulate_events(N, (0.0, span), stream)
+            ts = stream.generator.uniform(0.0, span, 10)
+            _assert_scans_match_literal(log, np.append(ts, span), initial)
+
+
 def test_static_length_sampler_moments():
     stream = make_stream(59, 3)
     draws = sample_static_kingman_length(11, stream, size=20_000)
