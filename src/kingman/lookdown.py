@@ -221,11 +221,6 @@ def sample_stationary_state(N: int, t0: float, stream: RngStream) -> "LookdownSt
     return LookdownState(N, t0, stationary_births(N, t0, stream))
 
 
-# A prefix of at most this many events is walked whole: one numpy pass
-# costs about as much as walking that many events in Python.
-_SHORT_PREFIX = 64
-
-
 def _block_shrinking_events(targets: np.ndarray, stop: int, block: int) -> np.ndarray:
     """Indices, last to first, of the events before `stop` that shrink the block.
 
@@ -237,26 +232,19 @@ def _block_shrinking_events(targets: np.ndarray, stop: int, block: int) -> np.nd
     Cost: an inert event stays inert as the block shrinks, so each pass
     keeps, with one numpy filter, the events before `stop` whose target is
     at most the block, and Python walks the last 4 * block + 64 of them
-    until the block has shrunk to a quarter (if they run out first, the
-    next pass filters again from there). Under the pair law about 3B
-    candidates are walked while the block shrinks from B to B/4, so a scan
-    from block N costs O(N) Python steps and O(log N) numpy passes over
-    the log, not one Python step per event. A prefix of at most
-    :data:`_SHORT_PREFIX` events is walked whole, without the filter.
+    until the block has shrunk to a quarter (or to 1); if they run out
+    first, the next pass filters again from there. Under the pair law
+    about 3B candidates are walked while the block shrinks from B to B/4,
+    so a scan from block N costs O(N) Python steps and O(log N) numpy
+    passes over the log, not one Python step per event.
     """
     hits: list[int] = []
     while block > 1 and stop > 0:
-        if stop > _SHORT_PREFIX:
-            floor = block // 4
-            candidates = np.flatnonzero(targets[:stop] <= block)
-            tail = candidates[-(4 * block + _SHORT_PREFIX):][::-1]
-            walk = zip(tail.tolist(), targets[tail].tolist())
-            stop = int(tail[-1]) if tail.size else 0
-        else:
-            floor = 1
-            walk = zip(range(stop - 1, -1, -1), targets[stop - 1::-1].tolist())
-            stop = 0
-        for idx, k in walk:
+        floor = max(block // 4, 1)
+        candidates = (targets[:stop] <= block).nonzero()[0]
+        tail = candidates[-(4 * block + 64):][::-1]
+        stop = int(tail[-1]) if tail.size else 0
+        for idx, k in zip(tail.tolist(), targets[tail].tolist()):
             if k <= block:
                 hits.append(idx)
                 block -= 1

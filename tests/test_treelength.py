@@ -237,6 +237,13 @@ def test_backward_scans_match_literal_walks(N):
     ))
     assert _literal_resolve(log, initial)[1] == 1
     assert 0 < _assert_scans_match_literal(log, queries, initial) < len(queries)
+    # The log ends in 4N + 65 events of target N, all inert after the last:
+    # the first pass walks out its 4N + 64 candidates and filters again.
+    run = 4 * N + 65
+    ending = _uniform_target_log(N, int(6 * N * (1 + math.log(N))) + run, stream)
+    ending.targets[-run:] = N
+    assert _literal_resolve(ending, initial)[1] == 1
+    _assert_scans_match_literal(ending, [ending.t_end, ending.times[-run]], initial)
     # An empty log and one of N - 2 events: neither brings the block to 1.
     for head in (slice(0, 0), slice(0, N - 2)):
         short = EventLog(N, 0.0, 1.0, log.times[head], log.sources[head],
