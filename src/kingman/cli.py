@@ -3,6 +3,15 @@
 Subcommands map one-to-one onto the experiment drivers, plus simulate-path,
 which writes one compensated tree-length path as CSV (and optionally SVG).
 
+Parameter flags are derived, not restated: `_FLAGS` maps each subcommand's
+flags to the parameters of its `DEFAULTS` entry, and each flag parses the
+type of its parameter's default (int, float, or a comma list of a tuple's
+element type), with --t0/--t1 setting the two ends of `window`. Beside
+those, every subcommand takes --config, --seed, --out and --svg, and the
+experiments also take --format and --workers. A subcommand accepts no
+other flag, and its config-file keys are its flag names other than
+--config.
+
 Option precedence is: command line flags, then a `key = value` config file
 given with --config, then the versioned experiment defaults. The only
 environment variable consulted is KINGMAN_OUT_DIR, which prefixes relative
@@ -17,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,74 +37,91 @@ from .rng import GENERATOR_ID, derive_stream_id, make_stream
 from .svg import emit_svg
 from .treelength import TreeLengthPath, build_path
 
-__all__ = ["CliConfig", "main", "read_config_file"]
+__all__ = ["main", "read_config_file"]
 
-_SUBCOMMANDS = (
-    "simulate-path",
-    "mean-length",
-    "gumbel",
-    "poisson-deaths",
-    "divergence",
-    "qv-scan",
-    "variance-scaling",
-    "crosscheck",
-)
+# Parameter flags of each subcommand: flag name -> the parameter it sets in
+# that subcommand's DEFAULTS entry (a runner keyword for an experiment). The
+# option is `--` plus the name with dashes; config files use the name.
+_FLAGS = {
+    "simulate-path": {"n": "n_leaves", "t0": "window", "t1": "window"},
+    "mean-length": {"n": "n_leaves", "reps": "reps"},
+    "gumbel": {"n": "n_leaves", "reps": "reps"},
+    "poisson-deaths": {"levels": "max_level", "t0": "window", "t1": "window",
+                       "reps": "reps"},
+    "divergence": {"k_grid": "k_grid", "t0": "window", "t1": "window", "reps": "reps"},
+    "qv-scan": {
+        "n": "detail_n", "n_grid": "n_grid", "t0": "window", "t1": "window",
+        "mesh_levels": "mesh_levels", "reps": "reps",
+    },
+    "variance-scaling": {"n": "n_levels", "eps_grid": "epsilons", "reps": "reps"},
+    "crosscheck": {"n": "n_leaves", "t0": "window", "t1": "window"},
+}
 
-
-@dataclass
-class CliConfig:
-    """Fully resolved invocation, after flag/config/default precedence."""
-
-    subcommand: str
-    n: int | None = None
-    t0: float | None = None
-    t1: float | None = None
-    seed: int = 0
-    reps: int | None = None
-    levels: int | None = None
-    k_grid: tuple[int, ...] | None = None
-    n_grid: tuple[int, ...] | None = None
-    mesh_levels: tuple[int, ...] | None = None
-    eps_grid: tuple[float, ...] | None = None
-    out: str | None = None
-    format: str = "json"
-    svg: bool = False
-    workers: int = 1
+# Flags that set one end of a (start, end) parameter.
+_ENDS = {"t0": 0, "t1": 1}
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+def _list_of(kind):
+    """Parser of a comma list of `kind` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+def _parse_bool(text: str) -> bool:
+    words = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+    if text.lower() not in words:
+        raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+    return words[text.lower()]
 
 
-_COERCERS = {
-    "n": int,
-    "t0": float,
-    "t1": float,
-    "seed": int,
-    "reps": int,
-    "levels": int,
-    "k_grid": _parse_int_list,
-    "n_grid": _parse_int_list,
-    "mesh_levels": _parse_int_list,
-    "eps_grid": _parse_float_list,
-    "out": str,
-    "format": str,
-    "workers": int,
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"expected csv or json, got {text!r}")
+    return text
+
+
+# Options beside the parameter flags, name -> (parser, default, help); the
+# path writer takes neither format nor workers.
+_COMMON = {
+    "seed": (int, 0, "root seed (default 0)"),
+    "out": (str, None, "output path"),
+    "svg": (_parse_bool, False, "also write an SVG plot"),
+    "format": (_parse_format, "json", "report format, csv or json (default json)"),
+    "workers": (int, 1, "worker process count (default 1)"),
 }
+
+
+def _options(name: str) -> dict:
+    """Every option of one subcommand, name -> (parser, default, help). A
+    parameter flag parses its DEFAULTS value's type and defaults to None."""
+    options = {}
+    for flag, param in _FLAGS[name].items():
+        default = DEFAULTS[name][param]
+        what = param
+        if flag in _ENDS:
+            default = default[_ENDS[flag]]
+            what = f"{('start', 'end')[_ENDS[flag]]} of {param}"
+        if isinstance(default, tuple):
+            parse = _list_of(type(default[0]))
+            shown = ",".join(format_value(v) for v in default)
+        else:
+            parse, shown = type(default), format_value(default)
+        options[flag] = (parse, None, f"{what} (default {shown})")
+    options.update(_COMMON)
+    if name not in EXPERIMENTS:
+        del options["format"], options["workers"]
+    return options
 
 
 def read_config_file(path: str) -> dict:
@@ -110,33 +135,8 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _COERCERS and key != "svg":
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+            values[key.strip()] = value.strip()
     return values
-
-
-def _coerce_config_values(raw: dict) -> dict:
-    out = {}
-    for key, value in raw.items():
-        if key == "svg":
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                out[key] = True
-            elif lowered in ("false", "0", "no", "off"):
-                out[key] = False
-            else:
-                raise UsageError(f"config key svg must be boolean, got {value!r}")
-            continue
-        try:
-            out[key] = _COERCERS[key](value)
-        except UsageError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config value for {key}: {value!r}") from exc
-    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,92 +144,54 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kingman",
         description="Lookdown particle system simulator and statistics suite",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} {'writer' if name == 'simulate-path' else 'experiment'}")
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--n", type=int, help="system size (meaning varies per subcommand)")
-        p.add_argument("--t0", type=float, help="window start")
-        p.add_argument("--t1", type=float, help="window end")
-        p.add_argument("--seed", type=int, help="root seed (default 0)")
-        p.add_argument("--reps", type=int, help="replicate count")
-        p.add_argument("--levels", type=int, help="largest level (poisson-deaths)")
-        p.add_argument("--k-grid", dest="k_grid", help="comma list of K values (divergence)")
-        p.add_argument("--n-grid", dest="n_grid", help="comma list of system sizes (qv-scan)")
-        p.add_argument("--mesh-levels", dest="mesh_levels", help="comma list of dyadic levels (qv-scan)")
-        p.add_argument("--eps-grid", dest="eps_grid", help="comma list of epsilons (variance-scaling)")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=["csv", "json"], help="report format (default json)")
-        p.add_argument("--svg", action="store_true", default=None, help="also write an SVG plot")
-        p.add_argument("--workers", type=int, help="worker process count (default 1)")
+    for name in ORDINALS:
+        kind = "experiment" if name in EXPERIMENTS else "writer"
+        p = sub.add_parser(name, help=f"run the {name} {kind}")
+        p.add_argument("--config", help="key = value file of these options")
+        for key, (parse, _, text) in _options(name).items():
+            option = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                p.add_argument(option, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(option, type=parse, help=text)
     return parser
 
 
-def build_config(argv: list[str]) -> CliConfig:
-    """Parse argv into a CliConfig, applying flag > config file > default."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    file_values: dict = {}
+def build_config(argv: list[str]) -> tuple[str, dict]:
+    """Parse argv into (subcommand, option values): flag > config file > default."""
+    ns = _build_parser().parse_args(argv)
+    name = ns.subcommand
+    options = _options(name)
+    values = {key: default for key, (_, default, _) in options.items()}
     if ns.config:
-        file_values = _coerce_config_values(read_config_file(ns.config))
-    cfg = CliConfig(subcommand=ns.subcommand)
-    for f in fields(CliConfig):
-        if f.name == "subcommand":
-            continue
-        flag_value = getattr(ns, f.name, None)
-        if f.name in ("k_grid", "n_grid", "mesh_levels"):
-            if flag_value is not None:
-                flag_value = _parse_int_list(flag_value)
-        elif f.name == "eps_grid":
-            if flag_value is not None:
-                flag_value = _parse_float_list(flag_value)
-        if flag_value is not None:
-            setattr(cfg, f.name, flag_value)
-        elif f.name in file_values:
-            setattr(cfg, f.name, file_values[f.name])
-    if cfg.workers < 1:
+        for key, text in read_config_file(ns.config).items():
+            if key not in options:
+                raise UsageError(f"{ns.config}: unknown key {key!r} for {name}")
+            try:
+                values[key] = options[key][0](text)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise UsageError(f"bad config value for {key}: {text!r}") from exc
+    values.update((k, v) for k, v in vars(ns).items() if k in options and v is not None)
+    if values.get("workers", 1) < 1:
         raise UsageError("workers must be at least 1")
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.format!r}")
-    return cfg
+    return name, values
 
 
-def _window(cfg: CliConfig) -> tuple[float, float] | None:
-    if cfg.t0 is None and cfg.t1 is None:
-        return None
-    name = cfg.subcommand
-    default = DEFAULTS[name]["window"] if name in DEFAULTS and "window" in DEFAULTS[name] else (0.0, 1.0)
-    t0 = default[0] if cfg.t0 is None else cfg.t0
-    t1 = default[1] if cfg.t1 is None else cfg.t1
-    return (t0, t1)
-
-
-def _experiment_kwargs(cfg: CliConfig) -> dict:
-    name = cfg.subcommand
-    if name == "mean-length":
-        return {"n_leaves": cfg.n, "reps": cfg.reps}
-    if name == "gumbel":
-        return {"n_leaves": cfg.n, "reps": cfg.reps}
-    if name == "poisson-deaths":
-        return {"max_level": cfg.levels, "window": _window(cfg), "reps": cfg.reps}
-    if name == "divergence":
-        return {"k_grid": cfg.k_grid, "window": _window(cfg), "reps": cfg.reps}
-    if name == "qv-scan":
-        return {
-            "n_grid": cfg.n_grid,
-            "window": _window(cfg),
-            "mesh_levels": cfg.mesh_levels,
-            "reps": cfg.reps,
-            "detail_n": cfg.n,
-        }
-    if name == "variance-scaling":
-        return {"n_levels": cfg.n, "epsilons": cfg.eps_grid, "reps": cfg.reps}
-    if name == "crosscheck":
-        return {"n_leaves": cfg.n, "window": _window(cfg)}
-    raise UsageError(f"unknown subcommand {name!r}")
+def _params(name: str, values: dict) -> dict:
+    """The parameters whose flags are set, keyed as in DEFAULTS[name]."""
+    params = {}
+    for flag, param in _FLAGS[name].items():
+        value = values[flag]
+        if value is None:
+            continue
+        if flag in _ENDS:
+            ends = list(params.get(param, DEFAULTS[name][param]))
+            ends[_ENDS[flag]] = value
+            value = tuple(ends)
+        params[param] = value
+    return params
 
 
 def _resolve_out(path: str) -> str:
@@ -261,11 +223,11 @@ def _plot_series_from_report(report: ExperimentReport):
     return None
 
 
-def _write_report(report: ExperimentReport, cfg: CliConfig) -> list[str]:
+def _write_report(report: ExperimentReport, values: dict) -> list[str]:
     written = []
-    if cfg.out:
-        out = _resolve_out(cfg.out)
-        if cfg.format == "json":
+    if values["out"]:
+        out = _resolve_out(values["out"])
+        if values["format"] == "json":
             with open(out, "w", encoding="utf-8") as fp:
                 fp.write(report.to_json())
             written.append(out)
@@ -278,7 +240,7 @@ def _write_report(report: ExperimentReport, cfg: CliConfig) -> list[str]:
                 with open(path, "w", encoding="utf-8") as fp:
                     report.write_table_csv(fp, t["name"])
                 written.append(path)
-        if cfg.svg:
+        if values["svg"]:
             picked = _plot_series_from_report(report)
             if picked is None:
                 raise UsageError(
@@ -296,7 +258,7 @@ def _write_report(report: ExperimentReport, cfg: CliConfig) -> list[str]:
             with open(svg_path, "w", encoding="utf-8") as fp:
                 fp.write(doc)
             written.append(svg_path)
-    elif cfg.svg:
+    elif values["svg"]:
         raise UsageError("--svg needs --out to name the file")
     return written
 
@@ -328,26 +290,27 @@ def _path_corners(path: TreeLengthPath) -> np.ndarray:
     return corners
 
 
-def _run_simulate_path(cfg: CliConfig) -> int:
-    n = 30 if cfg.n is None else cfg.n
-    t0 = 0.0 if cfg.t0 is None else cfg.t0
-    t1 = 5.0 if cfg.t1 is None else cfg.t1
+def _run_simulate_path(values: dict) -> int:
+    params = {**DEFAULTS["simulate-path"], **_params("simulate-path", values)}
+    n = params["n_leaves"]
+    t0, t1 = params["window"]
+    seed = values["seed"]
     if n < 2:
         raise UsageError("--n must be at least 2")
     if not t1 > t0:
         raise UsageError("--t1 must exceed --t0")
-    if not cfg.out:
+    if not values["out"]:
         raise UsageError("simulate-path requires --out")
-    stream = make_stream(cfg.seed, derive_stream_id(ORDINALS["simulate-path"], 0))
+    stream = make_stream(seed, derive_stream_id(ORDINALS["simulate-path"], 0))
     state = sample_stationary_state(n, t0, stream)
     log = simulate_events(n, (t0, t1), stream)
     path = build_path(state, log, compensated=True)
     points = _path_corners(path)
 
-    out = _resolve_out(cfg.out)
+    out = _resolve_out(values["out"])
     meta = {
         "experiment": "simulate-path",
-        "seed": cfg.seed,
+        "seed": seed,
         "generator": GENERATOR_ID,
         "version": __version__,
         "param.n": n,
@@ -363,7 +326,7 @@ def _run_simulate_path(cfg: CliConfig) -> int:
             rows = points[lo:lo + 8192].tolist()
             fp.write("".join([f"{x!r},{y!r}\n" for x, y in rows]))
     written = [out]
-    if cfg.svg:
+    if values["svg"]:
         svg_path = os.path.splitext(out)[0] + ".svg"
         doc = emit_svg(
             [("compensated length", points)],
@@ -371,7 +334,7 @@ def _run_simulate_path(cfg: CliConfig) -> int:
             x_label="t",
             y_label="length - 2 ln n",
             description=_meta_description(
-                "simulate-path", cfg.seed, {"n": n, "t0": t0, "t1": t1}
+                "simulate-path", seed, {"n": n, "t0": t0, "t1": t1}
             ),
         )
         with open(svg_path, "w", encoding="utf-8") as fp:
@@ -387,13 +350,12 @@ def _run_simulate_path(cfg: CliConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = build_config(argv)
+        name, values = build_config(argv)
         try:
-            if cfg.subcommand == "simulate-path":
-                return _run_simulate_path(cfg)
-            runner = EXPERIMENTS[cfg.subcommand]
-            report = runner(seed=cfg.seed, workers=cfg.workers,
-                            **_experiment_kwargs(cfg))
+            if name == "simulate-path":
+                return _run_simulate_path(values)
+            report = EXPERIMENTS[name](seed=values["seed"], workers=values["workers"],
+                                       **_params(name, values))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         for v in report.verdicts:
@@ -401,15 +363,11 @@ def main(argv: list[str] | None = None) -> int:
             tol = "" if v.tolerance is None else f" tolerance={format_value(v.tolerance)}"
             print(f"[{v.status}] {v.name}: observed={format_value(v.observed)}"
                   f"{expected}{tol}")
-        for path in _write_report(report, cfg):
+        for path in _write_report(report, values):
             print(f"wrote {path}")
-        print(f"{cfg.subcommand}: {'PASS' if report.passed else 'FAIL'} "
-              f"(seed={report.seed})")
+        print(f"{name}: {'PASS' if report.passed else 'FAIL'} (seed={report.seed})")
         return 0 if report.passed else 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

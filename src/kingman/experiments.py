@@ -87,8 +87,14 @@ ORDINALS = {
 
 # Parameter and tolerance defaults, versioned as a unit. Every report embeds
 # this table (for its own experiment) plus DEFAULTS_VERSION, so a stored
-# report pins the thresholds it was judged against.
+# report pins the thresholds it was judged against. simulate-path is the
+# CLI's path writer, not an experiment; its entry only holds the defaults of
+# its flags.
 DEFAULTS = {
+    "simulate-path": {
+        "n_leaves": 30,
+        "window": (0.0, 5.0),
+    },
     "mean-length": {
         "n_leaves": 100,
         "reps": 20000,
@@ -212,6 +218,23 @@ def _split(total: int, block: int) -> list[tuple[int, int]]:
 
 def _band_status(observed: float, target: float, tol: float) -> str:
     return "pass" if abs(observed - target) <= tol else "fail"
+
+
+def _window(params: dict) -> tuple[float, float]:
+    """The window parameter as floats; it must have positive length."""
+    win = (float(params["window"][0]), float(params["window"][1]))
+    if not win[1] > win[0]:
+        raise ValueError("window must have positive length")
+    return win
+
+
+def _increasing(params: dict, key: str, min_points: int) -> list[int]:
+    """An integer grid parameter, which must be strictly increasing with at
+    least min_points points."""
+    grid = [int(v) for v in params[key]]
+    if len(grid) < min_points or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{key} must be strictly increasing with >= {min_points} points")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +379,12 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
         "max_level": max_level, "window": window, "reps": reps,
     })
     top = int(params["max_level"])
-    win = (float(params["window"][0]), float(params["window"][1]))
     total = int(params["reps"])
     if top < 3:
         raise ValueError("max_level must be at least 3")
     if total < 3:
         raise ValueError("reps must be at least 3")
-    if not win[1] > win[0]:
-        raise ValueError("window must have positive length")
+    win = _window(params)
     report = _new_report("poisson-deaths", params, seed)
     args = [
         (seed, lo, size, top, win, float(params["truncation_tol"]))
@@ -478,19 +499,13 @@ def run_divergence(seed: int = 0, k_grid=None,
     params = _resolve("divergence", {
         "k_grid": k_grid, "window": window, "reps": reps,
     })
-    grid = [int(k) for k in params["k_grid"]]
-    win = (float(params["window"][0]), float(params["window"][1]))
+    grid = _increasing(params, "k_grid", 4)
     total = int(params["reps"])
-    if len(grid) < 4:
-        raise ValueError("k_grid needs at least 4 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("k_grid must be strictly increasing")
     if grid[0] < 2:
         raise ValueError("k_grid entries must be at least 2")
     if grid[-1] < 100 * grid[0]:
         raise ValueError("k_grid must span at least two decades")
-    if not win[1] > win[0]:
-        raise ValueError("window must have positive length")
+    win = _window(params)
     if total < 2:
         raise ValueError("reps must be at least 2")
     report = _new_report("divergence", params, seed)
@@ -561,7 +576,7 @@ def _qv_block(args):
         log = simulate_events(n, win, stream)
         path = build_path(state, log, compensated=True)
         rows = qv_mesh_scan(path, win, mesh_levels)
-        return "detail", rows, float(np.sum(path.jump_sizes**2)), path.n_jumps
+        return rows, float(np.sum(path.jump_sizes**2)), path.n_jumps
     _, seed, n, win, reps, counter_base, mesh_level = args
     qvs = np.empty(reps)
     part = Partition.dyadic(win[0], win[1], mesh_level)
@@ -573,7 +588,7 @@ def _qv_block(args):
         log = simulate_events(n, win, stream)
         path = build_path(state, log, compensated=True)
         qvs[rep] = quadratic_variation(path, part)
-    return "grid", n, mesh_level, qvs
+    return qvs
 
 
 def run_qv_scan(seed: int = 0, n_grid=None,
@@ -594,23 +609,17 @@ def run_qv_scan(seed: int = 0, n_grid=None,
         "n_grid": n_grid, "window": window, "mesh_levels": mesh_levels,
         "reps": reps, "detail_n": detail_n,
     })
-    grid = [int(n) for n in params["n_grid"]]
-    win = (float(params["window"][0]), float(params["window"][1]))
+    win = _window(params)
     span = win[1] - win[0]
-    levels = [int(v) for v in params["mesh_levels"]]
+    grid = _increasing(params, "n_grid", 2)
     nd = int(params["detail_n"])
     total = int(params["reps"])
     factor = float(params["mesh_factor"])
-    if not win[1] > win[0]:
-        raise ValueError("window must have positive length")
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n_grid must be strictly increasing with >= 2 points")
     if grid[0] < 2 or nd < 2:
         raise ValueError("system sizes must be at least 2")
     if total < 2:
         raise ValueError("reps must be at least 2")
-    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("mesh_levels must be strictly increasing")
+    levels = _increasing(params, "mesh_levels", 2)
     need = _required_mesh_level(nd, span, factor)
     if levels[-1] < need:
         raise ValueError(
@@ -618,15 +627,11 @@ def run_qv_scan(seed: int = 0, n_grid=None,
             f"level {need} for detail_n={nd} (factor {factor})"
         )
     report = _new_report("qv-scan", params, seed)
+    grid_meshes = [_required_mesh_level(n, span, factor) for n in grid]
     args = [("detail", seed, nd, win, tuple(levels))]
-    for i, n in enumerate(grid):
-        args.append((
-            "grid", seed, n, win, total, 1 + i * total,
-            _required_mesh_level(n, span, factor),
-        ))
-    results = _map_blocks(_qv_block, args, workers)
-    detail = next(r for r in results if r[0] == "detail")
-    _, mesh_rows, jump_sq, n_jumps = detail
+    for i, (n, mesh) in enumerate(zip(grid, grid_meshes)):
+        args.append(("grid", seed, n, win, total, 1 + i * total, mesh))
+    (mesh_rows, jump_sq, n_jumps), *grid_qvs = _map_blocks(_qv_block, args, workers)
     finest_qv = float(mesh_rows[-1][1])
     rel_gap = abs(finest_qv - jump_sq) / jump_sq
     report.add_table(
@@ -639,20 +644,13 @@ def run_qv_scan(seed: int = 0, n_grid=None,
         ["n_leaves", "n_jumps", "finest_qv", "jump_square_sum", "rel_gap"],
         [[nd, n_jumps, finest_qv, jump_sq, rel_gap]],
     )
-    by_n, mesh_by_n = {}, {}
-    for r in results:
-        if r[0] == "grid":
-            by_n[r[1]] = r[3]
-            mesh_by_n[r[1]] = r[2]
-    mean_qv = np.array([by_n[n].mean() for n in grid])
-    se_qv = np.array([
-        by_n[n].std(ddof=1) / math.sqrt(total) for n in grid
-    ])
+    mean_qv = np.array([qvs.mean() for qvs in grid_qvs])
+    se_qv = np.array([qvs.std(ddof=1) / math.sqrt(total) for qvs in grid_qvs])
     report.add_table(
         "qv_by_n",
         ["n_leaves", "mesh_level", "mean_qv", "se_qv"],
-        [[n, mesh_by_n[n], float(mu), float(se)]
-         for n, mu, se in zip(grid, mean_qv, se_qv)],
+        [[n, mesh, float(mu), float(se)]
+         for n, mesh, mu, se in zip(grid, grid_meshes, mean_qv, se_qv)],
     )
     slope, intercept, r2 = fit_log_slope(np.asarray(grid, float), mean_qv)
     expected_slope = 4.0 * span
@@ -775,11 +773,11 @@ def _crosscheck_block(args):
         neg_recon = np.append(recon, reconstruct_length_backward(log, t_drop))
         neg_err = np.abs(broken.eval(neg_qs) - neg_recon) / np.abs(neg_recon)
         neg = float(np.max(neg_err))
-        return "exact", max_rel, neg
+        return max_rel, neg
     _, seed, counter, kind, n, win, size = args
     stream = make_stream(seed, derive_stream_id(ORDINALS["crosscheck"], counter))
     if kind == "static":
-        return "dist-static", counter, sample_static_kingman_length(n, stream, size=size)
+        return sample_static_kingman_length(n, stream, size=size)
     t0, t1 = win
     out = np.empty(size)
     for i in range(size):
@@ -787,7 +785,7 @@ def _crosscheck_block(args):
         log = simulate_events(n, win, stream)
         final = resolve_final_state(log, births)
         out[i] = (t1 - final.min()) + (n - 1) * t1 - final.sum()
-    return "dist-evolved", counter, out
+    return out
 
 
 def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
@@ -804,11 +802,9 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
     """
     params = _resolve("crosscheck", {"n_leaves": n_leaves, "window": window})
     n = int(params["n_leaves"])
-    win = (float(params["window"][0]), float(params["window"][1]))
     if not 2 <= n <= 200:
         raise ValueError("n_leaves must lie in [2, 200] for the exact arm")
-    if not win[1] > win[0]:
-        raise ValueError("window must have positive length")
+    win = _window(params)
     queries = int(params["queries"])
     if queries < 1:
         raise ValueError("queries must be positive")
@@ -826,12 +822,9 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
         args.append(("dist", seed, 1 + b, "evolved", nd, win, size))
     for b, (_, size) in enumerate(blocks):
         args.append(("dist", seed, 1 + len(blocks) + b, "static", nd, win, size))
-    results = _map_blocks(_crosscheck_block, args, workers)
-    max_rel, neg = next(
-        (r[1], r[2]) for r in results if r[0] == "exact"
-    )
-    evolved = np.concatenate([r[2] for r in results if r[0] == "dist-evolved"])
-    static = np.concatenate([r[2] for r in results if r[0] == "dist-static"])
+    (max_rel, neg), *dist = _map_blocks(_crosscheck_block, args, workers)
+    evolved = np.concatenate(dist[:len(blocks)])
+    static = np.concatenate(dist[len(blocks):])
     res = ks_test_two_sample(evolved, static)
     report.add_table(
         "exact",

@@ -86,7 +86,7 @@ def decode_pair(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = np.where(m >= high, k + 1, k)
     low = (k - 1) * (k - 2) // 2
     i = m - low + 1
-    return i.astype(np.int64), k.astype(np.int64)
+    return i, k
 
 
 @dataclass

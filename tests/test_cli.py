@@ -1,13 +1,15 @@
 """CLI, config file, and SVG emitter tests."""
 
 import hashlib
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from kingman.cli import main, read_config_file
+from kingman.cli import _FLAGS, main, read_config_file
+from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
 from kingman.svg import emit_svg
 
 
@@ -129,6 +131,62 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert payload["params"]["n_leaves"] == 25
 
 
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--reps", "5"],
+    ["gumbel", "--levels", "4"],
+    ["simulate-path", "--workers", "2"],
+    ["mean-length", "--t0", "1"],
+])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv, expected", [
+    ("mean-length", ["--n", "25", "--reps", "100"], {"n_leaves": 25, "reps": 100}),
+    ("gumbel", ["--n", "20", "--reps", "50"], {"n_leaves": 20, "reps": 50}),
+    ("poisson-deaths", ["--levels", "5", "--t1", "3", "--reps", "10"],
+     {"max_level": 5, "window": [0.0, 3.0], "reps": 10}),
+    ("divergence", ["--k-grid", "2,4,8,200", "--t0", "0.5", "--reps", "2"],
+     {"k_grid": [2, 4, 8, 200], "window": [0.5, 1.0], "reps": 2}),
+    ("qv-scan", ["--n", "40", "--n-grid", "10,20", "--mesh-levels", "0,8,16",
+                 "--t0", "0.25", "--t1", "1.25", "--reps", "2"],
+     {"detail_n": 40, "n_grid": [10, 20], "mesh_levels": [0, 8, 16],
+      "window": [0.25, 1.25], "reps": 2}),
+    ("variance-scaling", ["--n", "50", "--eps-grid", "0.2,0.3", "--reps", "20"],
+     {"n_levels": 50, "epsilons": [0.2, 0.3], "reps": 20}),
+    ("crosscheck", ["--n", "10", "--t0", "0.5"], {"n_leaves": 10, "window": [0.5, 1.0]}),
+])
+def test_each_flag_sets_its_parameter(tmp_path, name, argv, expected):
+    out = tmp_path / "report.json"
+    assert main([name, *argv, "--out", str(out)]) in (0, 1)
+    params = json.loads(out.read_text())["params"]
+    # every other parameter keeps its default
+    assert params == {**json.loads(json.dumps(DEFAULTS[name])), **expected}
+
+
+def test_flag_table_matches_runner_parameters():
+    assert list(_FLAGS) == list(ORDINALS)
+    for name, flags in _FLAGS.items():
+        assert set(flags.values()) <= set(DEFAULTS[name])
+    for name, runner in EXPERIMENTS.items():
+        keywords = set(inspect.signature(runner).parameters) - {"seed", "workers"}
+        assert set(_FLAGS[name].values()) == keywords, name
+
+
+def test_help_names_each_parameter_and_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qv-scan", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "detail_n (default 500)" in text
+    assert "start of window (default 0.0)" in text
+    assert "n_grid (default 50,100,200,400,800)" in text
+    assert "--levels" not in text
+
+
 def test_config_file_rejects_unknown_and_malformed(tmp_path):
     bad_key = tmp_path / "bad1.cfg"
     bad_key.write_text("repz = 10\n")
@@ -139,6 +197,15 @@ def test_config_file_rejects_unknown_and_malformed(tmp_path):
     bad_bool = tmp_path / "bad3.cfg"
     bad_bool.write_text("svg = maybe\n")
     assert main(["mean-length", "--config", str(bad_bool)]) == 2
+    # keys of other subcommands: levels is poisson-deaths', and the path
+    # writer has no report format
+    unread = tmp_path / "bad4.cfg"
+    unread.write_text("levels = 7\n")
+    assert main(["mean-length", "--config", str(unread)]) == 2
+    unread.write_text("format = csv\n")
+    out = tmp_path / "p.csv"
+    assert main(["simulate-path", "--config", str(unread), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_read_config_file_values(tmp_path):
