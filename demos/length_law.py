@@ -27,13 +27,7 @@ def evolved_lengths():
         births = lookdown.stationary_births(N, 0.0, stream)
         log = lookdown.simulate_events(N, (0.0, EVOLVE_SPAN), stream)
         final = lookdown.resolve_final_state(log, births)
-        # length at t1 = (t1 - oldest birth) + sum over levels 2..N of
-        # (t1 - birth)
-        out[r] = (
-            (EVOLVE_SPAN - final.min())
-            + (N - 1) * EVOLVE_SPAN
-            - final.sum()
-        )
+        out[r] = treelength.tree_length(final, EVOLVE_SPAN)
     return out
 
 

@@ -27,14 +27,13 @@ def main():
     print(f"ensemble of N={N} lines, window {WINDOW}, {log.n_events} events")
     print(f"initial length l(0) = {path.eval(np.array([0.0]))[0] :.6f}")
     print()
-    print("  time     pair      jump      exit age  root fix")
-    for ev_time, src, tgt, size, age, root in zip(
-        log.times, log.sources, log.targets,
-        path.jump_sizes, path.exit_ages, path.root_flags,
+    print(f"  {'time':>7s}  {'target':>6s}  {'jump':>9s}  {'exit age':>8s}  root fix")
+    for ev_time, tgt, size, age, root in zip(
+        log.times, log.targets, path.jump_sizes, path.exit_ages, path.root_flags,
     ):
         mark = "yes" if root else ""
         print(
-            f"  {ev_time:7.4f}  {src:>2d} -> {tgt:<2d}  "
+            f"  {ev_time:7.4f}  {tgt:>6d}  "
             f"{-size:+9.4f}  {age:8.4f}  {mark}"
         )
 
@@ -58,8 +57,7 @@ def main():
     # the window resolved backward from the event log, with no forward
     # replay at all.
     births = lookdown.resolve_final_state(log, state.births)
-    end = WINDOW[1]
-    replayed = (N - 1) * end - births.sum() + (end - births.min())
+    replayed = treelength.tree_length(births, WINDOW[1])
     print(f"replayed length  {replayed:.6f}")
 
 

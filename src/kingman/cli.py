@@ -139,16 +139,18 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="kingman",
         description="Lookdown particle system simulator and statistics suite",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
     for name in ORDINALS:
         kind = "experiment" if name in EXPERIMENTS else "writer"
-        p = sub.add_parser(name, help=f"run the {name} {kind}")
+        p = subparsers[name] = sub.add_parser(name, help=f"run the {name} {kind}")
         p.add_argument("--config", help="key = value file of these options")
         for key, (parse, _, text) in _options(name).items():
             option = "--" + key.replace("_", "-")
@@ -156,13 +158,17 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(option, action="store_true", default=None, help=text)
             else:
                 p.add_argument(option, type=parse, help=text)
-    return parser
+    return parser, subparsers
 
 
 def build_config(argv: list[str]) -> tuple[str, dict]:
     """Parse argv into (subcommand, option values): flag > config file > default."""
-    ns = _build_parser().parse_args(argv)
+    parser, subparsers = _build_parser()
+    ns, unknown = parser.parse_known_args(argv)
     name = ns.subcommand
+    if unknown:
+        # The subcommand's own usage lists the flags it does take.
+        subparsers[name].error(f"unrecognized arguments: {' '.join(unknown)}")
     options = _options(name)
     values = {key: default for key, (_, default, _) in options.items()}
     if ns.config:

@@ -56,6 +56,7 @@ from .treelength import (
     reconstruct_length_backward,
     sample_static_kingman_length,
     sample_stationary_length_increments,
+    tree_length,
 )
 
 __all__ = [
@@ -703,6 +704,9 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
         raise ValueError("n_levels must be at least 2")
     if not eps_list:
         raise ValueError("epsilons must be non-empty")
+    if len(set(eps_list)) < len(eps_list):
+        # A repeat would find the same streams and report the same draws twice.
+        raise ValueError("epsilons must not repeat")
     if total < 2:
         raise ValueError("reps must be at least 2")
     report = _new_report("variance-scaling", params, seed)
@@ -719,7 +723,7 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
             _map_blocks(_variance_scaling_block, args, workers)
         )
 
-    rows = variance_scaling(n, eps_list, total, sampler)
+    rows = variance_scaling(eps_list, total, sampler)
     report.add_table(
         "scaling",
         ["epsilon", "ratio", "mean_square", "se_mean_square"],
@@ -760,10 +764,7 @@ def _crosscheck_block(args):
             drop = log.n_events // 2
         keep = np.ones(log.n_events, dtype=bool)
         keep[drop] = False
-        damaged = EventLog(
-            n, log.t_start, log.t_end,
-            log.times[keep], log.sources[keep], log.targets[keep],
-        )
+        damaged = EventLog(n, log.t_start, log.t_end, log.times[keep], log.targets[keep])
         broken = build_path(start, damaged)
         # The control is also queried at the dropped event's own time, where
         # the damaged path misses the full jump; at the random query times
@@ -783,8 +784,7 @@ def _crosscheck_block(args):
     for i in range(size):
         births = stationary_births(n, t0, stream)
         log = simulate_events(n, win, stream)
-        final = resolve_final_state(log, births)
-        out[i] = (t1 - final.min()) + (n - 1) * t1 - final.sum()
+        out[i] = tree_length(resolve_final_state(log, births), t1)
     return out
 
 

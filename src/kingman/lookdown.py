@@ -4,10 +4,12 @@ Levels 1..N each carry one line. Ordered pairs i < k ring at unit rate; at a
 ring the line at level i begets a new line at level k, lines at levels >= k
 are pushed up one, and the line formerly at level N exits. Level 1 is
 immortal and holds no birth time, so the finite-N state is the list of
-birth times of the lines at levels 2..N. :class:`LookdownState` holds that
-list at a window start; :func:`~kingman.treelength.build_path` replays a
-log forward from it, and :func:`resolve_final_state` computes the final
-list backward from the log alone.
+birth times of the lines at levels 2..N, and an :class:`EventLog` keeps
+each event's time and target only (the source never moves a birth time).
+:class:`LookdownState` holds that list at a window start;
+:func:`~kingman.treelength.build_path` replays a log forward from it, and
+:func:`resolve_final_state` computes the final list backward from the log
+alone, by the level assignment :func:`stationary_births` also uses.
 
 The infinite-level system has one map from exponential stages to lives,
 :func:`sample_lifelengths`: the total life of a line born at a given level
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .rng import RngStream, sample_poisson_times
 
 __all__ = [
@@ -39,7 +40,7 @@ __all__ = [
     "LookdownState",
     "PointProcessSample",
     "SequencingError",
-    "decode_pair",
+    "decode_target",
     "default_burn_in",
     "life_moments",
     "life_skewness",
@@ -68,40 +69,34 @@ def pair_count(n: int) -> int:
 # Events
 # ---------------------------------------------------------------------------
 
-def decode_pair(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniform integers in [0, C(N,2)) to ordered pairs (source, target).
+def decode_target(codes: np.ndarray) -> np.ndarray:
+    """Map uniform integers in [0, C(N,2)) to the target levels of their pairs.
 
-    Decoding order: targets ascending, sources ascending within a target.
-    Code m covers target k when C(k-1,2) <= m < C(k,2), with
-    source = m - C(k-1,2) + 1. The float sqrt inversion is corrected by an
-    exact integer step, so the decode is exact for any N whose pair count
-    fits in a double's integer range (N well beyond 10^7).
+    Codes enumerate the ordered pairs by target ascending: code m falls on
+    target k when C(k-1,2) <= m < C(k,2). The float sqrt inversion is
+    corrected by an exact integer step, so the decode is exact for any N
+    whose pair count fits in a double's integer range (N well beyond 10^7).
     """
     m = np.asarray(codes, dtype=np.int64)
     k = ((3.0 + np.sqrt(8.0 * m + 1.0)) / 2.0).astype(np.int64)
     # Correct rare off-by-one from float rounding.
-    low = (k - 1) * (k - 2) // 2
-    k = np.where(low > m, k - 1, k)
-    high = k * (k - 1) // 2
-    k = np.where(m >= high, k + 1, k)
-    low = (k - 1) * (k - 2) // 2
-    i = m - low + 1
-    return i, k
+    k = np.where((k - 1) * (k - 2) // 2 > m, k - 1, k)
+    return np.where(m >= k * (k - 1) // 2, k + 1, k)
 
 
 @dataclass
 class EventLog:
     """Time-ordered birth events of the N-level system on a window.
 
-    Storage is struct-of-arrays (times, sources, targets); the event at
-    times[i] is a birth from level sources[i] into level targets[i].
+    Storage is struct-of-arrays (times, targets); the event at times[i] is
+    a birth into level targets[i]. Its source level is not kept: no jump
+    of the tree length depends on it.
     """
 
     N: int
     t_start: float
     t_end: float
     times: np.ndarray
-    sources: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self) -> None:
@@ -115,13 +110,12 @@ class EventLog:
                 raise ValueError("event times must lie in (t_start, t_end]")
             if not np.all(np.diff(t) > 0.0):
                 raise SequencingError("event times must be strictly increasing")
-        s = np.asarray(self.sources, dtype=np.int64)
         k = np.asarray(self.targets, dtype=np.int64)
-        if not (t.size == s.size == k.size):
-            raise ValueError("times/sources/targets lengths differ")
-        if t.size and not np.all((1 <= s) & (s < k) & (k <= self.N)):
-            raise ValueError("pairs must satisfy 1 <= source < target <= N")
-        self.times, self.sources, self.targets = t, s, k
+        if t.size != k.size:
+            raise ValueError("times/targets lengths differ")
+        if t.size and not np.all((2 <= k) & (k <= self.N)):
+            raise ValueError("targets must satisfy 2 <= target <= N")
+        self.times, self.targets = t, k
 
     @property
     def n_events(self) -> int:
@@ -133,8 +127,8 @@ def simulate_events(
 ) -> EventLog:
     """Simulate the full event stream of the N-level system on (a, b].
 
-    Total rate is C(N,2); each event's ordered pair is decoded from a single
-    uniform integer in [0, C(N,2)) (see :func:`decode_pair` for the order).
+    Total rate is C(N,2); each event's target is decoded from a single
+    uniform pair code in [0, C(N,2)) (see :func:`decode_target`).
     An empty window (a == b) yields an empty log; a > b is a parameter error.
     """
     if N < 2:
@@ -143,13 +137,11 @@ def simulate_events(
     if a > b:
         raise ValueError(f"window start {a} exceeds end {b}")
     if a == b:
-        empty = np.empty(0)
-        return EventLog(N, a, b, empty, empty.astype(np.int64), empty.astype(np.int64))
+        return EventLog(N, a, b, np.empty(0), np.empty(0, dtype=np.int64))
     rate = float(pair_count(N))
     times = sample_poisson_times(stream, rate, (a, b))
     codes = stream.generator.integers(0, pair_count(N), size=times.size)
-    sources, targets = decode_pair(codes)
-    return EventLog(N=N, t_start=a, t_end=b, times=times, sources=sources, targets=targets)
+    return EventLog(N=N, t_start=a, t_end=b, times=times, targets=decode_target(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +176,22 @@ class LookdownState:
         """All lines born at t0. Use as a pre-window replay start only."""
         return cls(N, t0, [t0] * (N - 1))
 
-    @property
-    def sum_births(self) -> float:
-        return math.fsum(self.births)
 
-    @property
-    def min_birth(self) -> float:
-        """Earliest birth among current lines: the MRCA time."""
-        return min(self.births)
+def _assign_levels(N: int, targets, times, rest=()) -> np.ndarray:
+    """Births of levels 2..N from (target, time) pairs, walked last to first.
+
+    The backward level assignment shared by both backward constructions:
+    each pair's time goes to the (target-1)-th smallest level among 2..N
+    that no later pair has filled. The levels left unfilled take the
+    values of `rest`, in level order.
+    """
+    births = [0.0] * (N - 1)
+    unresolved = list(range(N - 1))  # levels 2..N, 0-based
+    for k, t in zip(targets[::-1].tolist(), times[::-1].tolist()):
+        births[unresolved.pop(k - 2)] = t
+    for level, birth in zip(unresolved, rest):
+        births[level] = birth
+    return np.array(births)
 
 
 def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
@@ -211,9 +211,9 @@ def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
     m = np.arange(N, 1, -1, dtype=np.int64)
     rates = (m * (m - 1) // 2).astype(np.float64)
     depths = np.cumsum(stream.exponentials(1.0, N - 1) / rates)
-    codes = stream.generator.integers(0, m * (m - 1) // 2)
-    _, targets = decode_pair(codes)
-    return t0 - _kernels.assign_levels(N, targets, depths)
+    targets = decode_target(stream.generator.integers(0, m * (m - 1) // 2))
+    # The deepest merger comes first in time.
+    return _assign_levels(N, targets[::-1], (t0 - depths)[::-1])
 
 
 def sample_stationary_state(N: int, t0: float, stream: RngStream) -> "LookdownState":
@@ -269,19 +269,14 @@ def resolve_final_state(log: EventLog, initial_births) -> np.ndarray:
 
     Cost: the inert events are skipped by :func:`_block_shrinking_events`
     (O(N) Python steps and O(log N) numpy passes over the log); each of
-    the at most N - 1 shrinking events then pops one unresolved level.
+    the at most N - 1 shrinking events then fills one level through
+    :func:`_assign_levels`, the assignment :func:`stationary_births` uses.
     """
     initial = np.asarray(initial_births, dtype=np.float64)
     if initial.shape != (log.N - 1,):
         raise ValueError(f"need {log.N - 1} initial birth times")
-    hits = _block_shrinking_events(log.targets, log.n_events, log.N)
-    births = [0.0] * (log.N - 1)
-    unresolved = list(range(log.N - 1))  # levels 2..N, 0-based
-    for k, t in zip(log.targets[hits].tolist(), log.times[hits].tolist()):
-        births[unresolved.pop(k - 2)] = t
-    for level, birth in zip(unresolved, initial.tolist()):
-        births[level] = birth
-    return np.array(births)
+    hits = _block_shrinking_events(log.targets, log.n_events, log.N)[::-1]
+    return _assign_levels(log.N, log.targets[hits], log.times[hits], initial.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +425,17 @@ def sample_lifelengths_gamma_tail(
     return sample_lifelengths(level, count, stream, J) - 2.0 / (J - 1) + tail
 
 
-def default_burn_in(level: int, chernoff_exponent: float = 40.0) -> float:
+def default_burn_in(level: int) -> float:
     """Burn-in long enough that a line born before it is dead at the window.
 
     From the Chernoff bound P(T_level > B) <= exp(level - C(level,2) B / 2),
-    taking B = 2 (level + c) / C(level,2) gives miss probability <= e^-c.
+    taking B = 2 (level + 40) / C(level,2) gives miss probability <= e^-40.
     The result is capped at 50, which binds only at level 2 (uncapped 84):
-    there the miss bound is exp(2 - 50/2) = e^-23, not e^-c.
+    there the miss bound is exp(2 - 50/2) = e^-23, not e^-40.
     """
     if level < 2:
         raise ValueError("level must be at least 2")
-    bound = 2.0 * (level + chernoff_exponent) / (level * (level - 1.0) / 2.0)
+    bound = 2.0 * (level + 40.0) / (level * (level - 1.0) / 2.0)
     return min(50.0, bound)
 
 
@@ -450,17 +445,15 @@ class PointProcessSample:
 
     death_times is sorted and lies in (window[0], window[1]]; life_lengths
     aligns with it. Lines are born on (window[0] - burn_in, window[1]] at
-    Poisson rate (level - 1) and die a life length later, so every death in
-    the window is captured up to the documented burn-in miss probability.
+    Poisson rate (level - 1), with burn_in from :func:`default_burn_in`,
+    and die a life length later, so every death in the window is captured
+    up to that burn-in's miss probability.
     """
 
     level: int
     window: tuple[float, float]
     death_times: np.ndarray
     life_lengths: np.ndarray
-    burn_in: float
-    tol: float
-    truncation_level: int
 
     def __post_init__(self) -> None:
         d = np.asarray(self.death_times, dtype=np.float64)
@@ -487,28 +480,24 @@ def sample_infinite_deaths(
     level: int,
     window: tuple[float, float],
     stream: RngStream,
-    burn_in: float | None = None,
-    tol: float = 1e-6,
+    tol: float,
 ) -> PointProcessSample:
     """Sample one level's death point process on a window.
 
-    Births arrive at Poisson rate (level - 1) on (s - burn_in, t]; each birth
-    gets an independent life length from :func:`sample_lifelengths`,
-    truncated at J = truncation_level_for(level, tol); deaths falling in
-    (s, t] are kept, ordered. burn_in defaults to
-    :func:`default_burn_in` for the level.
+    Births arrive at Poisson rate (level - 1) on (s - burn_in, t], with
+    burn_in = :func:`default_burn_in` for the level; each birth gets an
+    independent life length from :func:`sample_lifelengths`, truncated at
+    J = truncation_level_for(level, tol); deaths falling in (s, t] are
+    kept, ordered.
     """
     if level < 2:
         raise ValueError("level must be at least 2")
     s, t = float(window[0]), float(window[1])
     if s > t:
         raise ValueError("window start exceeds end")
-    if burn_in is None:
-        burn_in = default_burn_in(level)
-    if burn_in < 0.0:
-        raise ValueError("burn_in must be nonnegative")
     J = truncation_level_for(level, tol)
-    births = sample_poisson_times(stream, float(level - 1), (s - burn_in, t))
+    start = s - default_burn_in(level)
+    births = sample_poisson_times(stream, float(level - 1), (start, t))
     lives = sample_lifelengths(level, births.size, stream, J)
     deaths = births + lives
     keep = (deaths > s) & (deaths <= t)
@@ -519,7 +508,4 @@ def sample_infinite_deaths(
         window=(s, t),
         death_times=deaths[order],
         life_lengths=lives[order],
-        burn_in=float(burn_in),
-        tol=float(tol),
-        truncation_level=J,
     )

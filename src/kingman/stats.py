@@ -316,7 +316,6 @@ def fit_log_slope(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
 
 
 def variance_scaling(
-    n_levels: int,
     epsilons: Sequence[float],
     reps: int,
     increment_sampler: Callable[[float, int], np.ndarray],
@@ -331,8 +330,6 @@ def variance_scaling(
 
     Returns rows (eps, ratio, mean_square, se_mean_square).
     """
-    if n_levels < 2:
-        raise ValueError("n_levels must be at least 2")
     if reps < 1:
         raise ValueError("reps must be positive")
     eps_list = [float(eps) for eps in epsilons]

@@ -1,7 +1,8 @@
 """Exact evolution of the total tree length of the N-level system.
 
 At time t the population's genealogy is a coalescent tree whose total
-length is l(t) = (t - min birth) + sum over levels 2..N of (t - birth).
+length is l(t) = (t - min birth) + sum over levels 2..N of (t - birth),
+computed from a birth list by :func:`tree_length`.
 Between events every term grows at unit rate, so l drifts upward at slope
 exactly N; an event removes the exiting line's age and, when the exiting
 line was the oldest, also shortens the root stem to the next-oldest birth.
@@ -31,7 +32,7 @@ __all__ = [
     "reconstruct_length_backward",
     "sample_static_kingman_length",
     "sample_stationary_length_increments",
-    "tree_length_of_state",
+    "tree_length",
 ]
 
 
@@ -39,13 +40,10 @@ class InsufficientHistoryError(ValueError):
     """The event log does not reach back to the genealogy's root."""
 
 
-def tree_length_of_state(state: LookdownState) -> float:
-    """Total tree length of the population held in `state`, at state.now."""
-    return (
-        (state.N - 1) * state.now
-        - state.sum_births
-        + (state.now - state.min_birth)
-    )
+def tree_length(births, t: float) -> float:
+    """Total tree length at time t of the lines at levels 2..N born at `births`:
+    their ages, summed as (N - 1) t minus an fsum, plus the root stem."""
+    return len(births) * t - math.fsum(births) + (t - min(births))
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def build_path(
         raise ValueError(
             f"state at {initial_state.now} does not start the window {log.t_start}"
         )
-    v0 = tree_length_of_state(initial_state)
+    v0 = tree_length(initial_state.births, initial_state.now)
     if compensated:
         v0 -= 2.0 * math.log(log.N)
     n = log.n_events
@@ -135,7 +133,7 @@ def build_path(
     sizes = np.zeros(n)  # root-stem corrections until the ages are added
     flags = np.zeros(n, dtype=bool)
     births = list(initial_state.births)
-    oldest = initial_state.min_birth
+    oldest = min(births)
     for idx, (t, k) in enumerate(zip(log.times.tolist(), log.targets.tolist())):
         birth = births.pop()
         births.insert(k - 2, t)

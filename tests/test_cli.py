@@ -141,7 +141,10 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    # The usage line is the subcommand's, which lists the flags it takes.
+    assert err.startswith(f"usage: kingman {argv[0]} ")
 
 
 @pytest.mark.parametrize("name, argv, expected", [

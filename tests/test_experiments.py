@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from kingman import experiments as ex
-from kingman.lookdown import GAMMA_TAIL_LEVEL, sample_infinite_deaths
+from kingman.lookdown import (
+    GAMMA_TAIL_LEVEL,
+    sample_infinite_deaths,
+    truncation_level_for,
+)
 from kingman.reports import ExperimentReport
 from kingman.rng import make_stream
 from kingman.stats import fit_log_slope
@@ -144,11 +148,12 @@ def test_divergence_level_sums_match_literal_death_route(
     # variance is below 1e-9), deaths in the window. The half in the
     # tolerance keeps ceil(2 / tol) off a float-rounding edge.
     draws = divergence_level_sums[k].size
+    tol = 2.0 / (k + 1998.5)
+    assert truncation_level_for(k, tol) == k + 2000
     stream = make_stream(47, k)
     literal = np.empty(draws)
     for i in range(draws):
-        sample = sample_infinite_deaths(k, (0.0, 1.0), stream, tol=2.0 / (k + 1998.5))
-        assert sample.truncation_level == k + 2000
+        sample = sample_infinite_deaths(k, (0.0, 1.0), stream, tol)
         literal[i] = sample.life_lengths @ sample.life_lengths
     assert_same_law(divergence_level_sums[k], literal)
 
@@ -223,6 +228,9 @@ def test_variance_scaling_validation():
         ex.run_variance_scaling(seed=0, epsilons=())
     with pytest.raises(ValueError):
         ex.run_variance_scaling(seed=0, epsilons=(1.5,), n_levels=50, reps=10)
+    # A repeated epsilon would reuse one epsilon's streams for two rows.
+    with pytest.raises(ValueError, match="repeat"):
+        ex.run_variance_scaling(seed=0, epsilons=(0.01, 0.01, 0.02), n_levels=50, reps=20)
 
 
 def test_crosscheck_default_run_passes():

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from kingman import _kernels
 from kingman.lookdown import (
     GAMMA_TAIL_LEVEL,
     EventLog,
     LookdownState,
     SequencingError,
-    decode_pair,
+    _assign_levels,
+    decode_target,
     default_burn_in,
     life_moments,
     life_skewness,
@@ -34,9 +34,9 @@ from kingman.lookdown import (
     _trigamma,
     truncation_level_for,
 )
-from kingman.rng import make_stream
+from kingman.rng import make_stream, sample_poisson_times
 from kingman.stats import ks_test_two_sample
-from kingman.treelength import build_path
+from kingman.treelength import build_path, tree_length
 
 VAR_LIFE_2 = 4.0 * (math.pi**2 / 3.0 - 3.0)  # variance of a level-2 life
 MEAN_LEN_11 = 5.8579365079365076  # 2 * (1 + 1/2 + ... + 1/10)
@@ -51,33 +51,32 @@ def test_pair_count():
 
 
 def test_decode_enumerates_pairs_in_order():
-    want = [(i, k) for k in range(2, 7) for i in range(1, k)]
-    i, k = decode_pair(np.arange(pair_count(6)))
-    assert list(zip(i.tolist(), k.tolist())) == want
+    # Target k takes exactly the k - 1 codes C(k-1,2) .. C(k,2) - 1, one per
+    # source, in increasing order.
+    want = [k for k in range(2, 7) for _ in range(1, k)]
+    assert decode_target(np.arange(pair_count(6))).tolist() == want
 
 
 def test_decode_boundaries_large_target():
     # First and last codes of big targets, where sqrt rounding could slip.
     for target in (3, 10, 1000, 10**6):
         low = pair_count(target - 1)
-        i, k = decode_pair(np.array([low, low + target - 2, low - 1]))
-        assert (i[0], k[0]) == (1, target)
-        assert (i[1], k[1]) == (target - 1, target)
-        assert (i[2], k[2]) == (target - 2, target - 1)
+        k = decode_target(np.array([low, low + target - 2, low - 1]))
+        assert k.tolist() == [target, target, target - 1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=pair_count(4000) - 1))
 def test_decode_inverts_triangular_code(code):
-    i, k = decode_pair(np.array([code]))
-    assert 1 <= i[0] < k[0] <= 4000
-    assert pair_count(int(k[0])) - (k[0] - i[0]) == code
+    k = int(decode_target(np.array([code]))[0])
+    assert 2 <= k <= 4000
+    assert pair_count(k - 1) <= code < pair_count(k)
 
 
-def test_event_rejects_bad_pairs():
-    for source, target in ((2, 2), (0, 3), (5, 3), (1, 6)):
+def test_event_rejects_bad_targets():
+    for target in (0, 1, 6):
         with pytest.raises(ValueError):
-            EventLog(5, 0.0, 1.0, np.array([0.5]), np.array([source]), np.array([target]))
+            EventLog(5, 0.0, 1.0, np.array([0.5]), np.array([target]))
 
 
 def test_simulate_events_window_contents():
@@ -86,8 +85,7 @@ def test_simulate_events_window_contents():
     assert log.n_events > 0
     assert np.all(log.times > 2.0) and np.all(log.times <= 4.0)
     assert np.all(np.diff(log.times) > 0.0)
-    assert np.all((1 <= log.sources) & (log.sources < log.targets))
-    assert np.all(log.targets <= 10)
+    assert np.all((2 <= log.targets) & (log.targets <= 10))
 
 
 def test_simulate_events_count_matches_total_rate():
@@ -108,17 +106,14 @@ def test_simulate_events_empty_window_and_errors():
 
 
 def test_eventlog_validation():
-    t = np.array([0.5, 0.4])
-    s = np.array([1, 1])
-    k = np.array([2, 2])
     with pytest.raises(SequencingError):
-        EventLog(3, 0.0, 1.0, t, s, k)
+        EventLog(3, 0.0, 1.0, np.array([0.5, 0.4]), np.array([2, 2]))
     with pytest.raises(ValueError):
-        EventLog(3, 0.0, 0.3, np.array([0.5]), np.array([1]), np.array([2]))
+        EventLog(3, 0.0, 0.3, np.array([0.5]), np.array([2]))
     with pytest.raises(ValueError):
-        EventLog(3, 0.0, 1.0, np.array([0.5]), np.array([1]), np.array([2, 3]))
+        EventLog(3, 0.0, 1.0, np.array([0.5]), np.array([2, 3]))
     with pytest.raises(ValueError):
-        EventLog(3, 0.0, 1.0, np.array([0.5]), np.array([3]), np.array([2]))
+        EventLog(3, 1.0, 0.0, np.empty(0), np.empty(0, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +121,8 @@ def test_eventlog_validation():
 # ---------------------------------------------------------------------------
 
 def _log(N, start, end, times, targets):
-    """A log whose events all beget from level 1."""
-    targets = np.asarray(targets, dtype=np.int64)
     return EventLog(N, start, end, np.asarray(times, dtype=np.float64),
-                    np.ones_like(targets), targets)
+                    np.asarray(targets, dtype=np.int64))
 
 
 def _naive_replay(births, log):
@@ -205,8 +198,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         LookdownState(1, 0.0, [])
     state = LookdownState.degenerate(5, -2.0)
-    assert state.min_birth == -2.0
-    assert state.sum_births == -8.0
+    assert state.births == (-2.0,) * 4
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.now = 0.0
 
@@ -240,7 +232,7 @@ def test_resolve_final_state_matches_forward_replay(window_end):
 
 
 def test_resolve_final_state_no_events():
-    log = EventLog(4, 0.0, 1.0, np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
+    log = EventLog(4, 0.0, 1.0, np.empty(0), np.empty(0, np.int64))
     assert resolve_final_state(log, [-1.0, -2.0, -3.0]).tolist() == [-1.0, -2.0, -3.0]
     with pytest.raises(ValueError):
         resolve_final_state(log, [-1.0])
@@ -386,25 +378,31 @@ def test_default_burn_in_values():
 
 def test_death_sample_structure():
     stream = make_stream(37, 0)
-    sample = sample_infinite_deaths(5, (1.0, 4.0), stream, burn_in=5.0, tol=1e-2)
+    sample = sample_infinite_deaths(5, (1.0, 4.0), stream, 1e-2)
     d, lives = sample.death_times, sample.life_lengths
     assert d.shape == lives.shape
     assert np.all(d > 1.0) and np.all(d <= 4.0)
     assert np.all(np.diff(d) >= 0.0)
-    assert np.all(d - lives > 1.0 - 5.0)
-    assert sample.truncation_level == truncation_level_for(5, 1e-2)
+    assert np.all(d - lives > 1.0 - default_burn_in(5))
     assert sample.count == d.size
+    # The draws are births on the window extended back by the default
+    # burn-in, then lives truncated at J = truncation_level_for(level, tol).
+    replay = make_stream(37, 0)
+    births = sample_poisson_times(replay, 4.0, (1.0 - default_burn_in(5), 4.0))
+    all_lives = sample_lifelengths(5, births.size, replay, truncation_level_for(5, 1e-2))
+    keep = (births + all_lives > 1.0) & (births + all_lives <= 4.0)
+    assert np.array_equal(np.sort(births[keep] + all_lives[keep]), d)
 
 
 def test_death_sample_empty_window():
     stream = make_stream(37, 1)
-    assert sample_infinite_deaths(3, (5.0, 5.0), stream, tol=1e-2).count == 0
+    assert sample_infinite_deaths(3, (5.0, 5.0), stream, 1e-2).count == 0
     with pytest.raises(ValueError):
-        sample_infinite_deaths(3, (5.0, 4.0), stream)
+        sample_infinite_deaths(3, (5.0, 4.0), stream, 1e-2)
     with pytest.raises(ValueError):
-        sample_infinite_deaths(1, (0.0, 1.0), stream)
+        sample_infinite_deaths(1, (0.0, 1.0), stream, 1e-2)
     with pytest.raises(ValueError):
-        sample_infinite_deaths(3, (0.0, 1.0), stream, burn_in=-1.0)
+        sample_infinite_deaths(3, (0.0, 1.0), stream, 0.0)
 
 
 def test_death_rate_equals_birth_rate():
@@ -412,7 +410,7 @@ def test_death_rate_equals_birth_rate():
     # 10 sees 10 deaths on average.
     stream = make_stream(37, 2)
     counts = [
-        sample_infinite_deaths(2, (0.0, 10.0), stream, tol=1e-3).count
+        sample_infinite_deaths(2, (0.0, 10.0), stream, 1e-3).count
         for _ in range(300)
     ]
     se = math.sqrt(10.0 / 300)
@@ -424,14 +422,19 @@ def test_death_rate_equals_birth_rate():
 # ---------------------------------------------------------------------------
 
 def test_assign_levels_hand_example():
-    # Four levels, unresolved [2, 3, 4]. Target 3 takes the 2nd smallest
-    # (level 3) at depth 0.1; target 2 then takes level 2 at 0.4; the last
-    # step takes level 4 at 1.0.
-    got = _kernels.assign_levels(4, np.array([3, 2, 2]), np.array([0.1, 0.4, 1.0]))
-    assert got.tolist() == [0.4, 0.1, 1.0]
-    assert _kernels.assign_levels(2, np.array([2]), np.array([0.7])).tolist() == [0.7]
-    with pytest.raises(ValueError):
-        _kernels.assign_levels(4, np.array([2, 2]), np.array([0.1, 0.4]))
+    # Four levels, unresolved [2, 3, 4]. Walking the pairs last to first,
+    # target 3 takes the 2nd smallest (level 3) at 0.9; target 2 then takes
+    # level 2 at 0.6; the first pair takes level 4 at 0.2.
+    got = _assign_levels(4, np.array([2, 2, 3]), np.array([0.2, 0.6, 0.9]))
+    assert got.tolist() == [0.6, 0.9, 0.2]
+    assert _assign_levels(2, np.array([2]), np.array([0.7])).tolist() == [0.7]
+    # Five levels, one pair: target 3 takes level 3, and levels 2, 4, 5,
+    # left unresolved, take the first three values of `rest` in order (the
+    # backward scan passes all N - 1 initial births).
+    got = _assign_levels(5, np.array([3]), np.array([0.5]), [-0.1, -0.2, -0.3, -0.4])
+    assert got.tolist() == [-0.1, 0.5, -0.2, -0.3]
+    got = _assign_levels(3, np.empty(0, np.int64), np.empty(0), [-1.0, -2.0])
+    assert got.tolist() == [-1.0, -2.0]
 
 
 def test_stationary_state_structure():
@@ -440,7 +443,6 @@ def test_stationary_state_structure():
     births = np.array(state.births)
     assert births.shape == (11,)
     assert np.all(births < 3.0)
-    assert births.min() == state.min_birth
     assert len(np.unique(births)) == 11
     assert state.now == 3.0
 
@@ -453,7 +455,7 @@ def test_stationary_tree_length_mean():
     lengths = np.empty(reps)
     for r in range(reps):
         state = sample_stationary_state(11, 0.0, stream)
-        lengths[r] = -state.min_birth - state.sum_births
+        lengths[r] = tree_length(state.births, 0.0)
     se = lengths.std(ddof=1) / math.sqrt(reps)
     assert abs(lengths.mean() - MEAN_LEN_11) < 3.5 * se
 
@@ -465,7 +467,7 @@ def test_stationary_tree_length_distribution():
     lengths = np.empty(reps)
     for r in range(reps):
         state = sample_stationary_state(n, 0.0, stream_a)
-        lengths[r] = -state.min_birth - state.sum_births
+        lengths[r] = tree_length(state.births, 0.0)
     k = np.arange(2, n + 1, dtype=np.float64)
     gaps = stream_b.generator.standard_exponential((reps, n - 1)) / (k * (k - 1) / 2.0)
     static = gaps @ k

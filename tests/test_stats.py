@@ -145,9 +145,6 @@ def _poisson_replicates(level, window, reps, stream):
                 window=window,
                 death_times=times,
                 life_lengths=np.zeros_like(times),
-                burn_in=0.0,
-                tol=1e-3,
-                truncation_level=2001,
             )
         )
     return out
@@ -175,9 +172,6 @@ def test_poisson_suite_rejects_regular_process():
                 window=window,
                 death_times=times,
                 life_lengths=np.zeros_like(times),
-                burn_in=0.0,
-                tol=1e-3,
-                truncation_level=2001,
             )
         )
     res = poisson_suite(samples)
@@ -238,16 +232,16 @@ def test_fit_log_slope_exact_recovery():
 def test_variance_scaling_with_pure_drift():
     n = 7
     rows = variance_scaling(
-        n, [0.1, 0.01], 5, lambda eps, reps: np.full(reps, n * eps)
+        [0.1, 0.01], 5, lambda eps, reps: np.full(reps, n * eps)
     )
     for eps, ratio, mean_sq, se in rows:
         assert mean_sq == pytest.approx((n * eps) ** 2, rel=1e-12)
         assert ratio == pytest.approx(n**2 * eps / abs(math.log(eps)), rel=1e-12)
         assert se == 0.0
     with pytest.raises(ValueError):
-        variance_scaling(n, [1.5], 5, lambda eps, reps: np.zeros(reps))
+        variance_scaling([1.5], 5, lambda eps, reps: np.zeros(reps))
     with pytest.raises(ValueError):
-        variance_scaling(n, [0.1], 5, lambda eps, reps: np.zeros(reps + 1))
+        variance_scaling([0.1], 5, lambda eps, reps: np.zeros(reps + 1))
 
 
 def test_variance_scaling_checks_every_epsilon_before_sampling():
@@ -258,7 +252,7 @@ def test_variance_scaling_checks_every_epsilon_before_sampling():
         return np.zeros(reps)
 
     with pytest.raises(ValueError):
-        variance_scaling(7, [0.01, 2.0], 5, sampler)
+        variance_scaling([0.01, 2.0], 5, sampler)
     assert calls == []
 
 

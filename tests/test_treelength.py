@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from kingman import _kernels
 from kingman.lookdown import (
     EventLog,
     LookdownState,
-    decode_pair,
+    _assign_levels,
+    decode_target,
     resolve_final_state,
     sample_stationary_state,
     simulate_events,
@@ -26,16 +26,17 @@ from kingman.treelength import (
     reconstruct_length_backward,
     sample_static_kingman_length,
     sample_stationary_length_increments,
-    tree_length_of_state,
+    tree_length,
 )
 
 MEAN_LEN_11 = 5.8579365079365076
 
 
-def test_length_of_state_hand_value():
-    state = LookdownState(3, 1.0, [0.5, 0.2])
-    assert tree_length_of_state(state) == pytest.approx(2.1, abs=1e-12)
-    assert tree_length_of_state(LookdownState.degenerate(9, 4.0)) == 0.0
+def test_tree_length_hand_value():
+    # Ages 0.5 and 0.8, plus the root stem back to the oldest birth 0.2.
+    assert tree_length((0.5, 0.2), 1.0) == pytest.approx(2.1, abs=1e-12)
+    assert tree_length(np.array([0.5, 0.2]), 1.0) == tree_length([0.5, 0.2], 1.0)
+    assert tree_length(LookdownState.degenerate(9, 4.0).births, 4.0) == 0.0
 
 
 def test_path_matches_replayed_state_everywhere():
@@ -50,8 +51,7 @@ def test_path_matches_replayed_state_everywhere():
     times = make_stream(53, 1).generator.uniform(0.0, 3.0, size=50)
     for t in times:
         upto = log.times <= t
-        head = EventLog(7, 0.0, float(t), log.times[upto], log.sources[upto],
-                        log.targets[upto])
+        head = EventLog(7, 0.0, float(t), log.times[upto], log.targets[upto])
         births = resolve_final_state(head, start.births)
         direct = 6 * t - births.sum() + (t - births.min())
         assert path.eval(t) == pytest.approx(direct, rel=1e-11, abs=1e-11)
@@ -83,11 +83,11 @@ def test_drift_between_jumps_is_exactly_n():
 
 def test_root_correction_anatomy():
     state = LookdownState(3, 0.5, [0.5, 0.2])
-    empty = EventLog(3, 0.5, 1.0, np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
+    empty = EventLog(3, 0.5, 1.0, np.empty(0), np.empty(0, np.int64))
     path = build_path(state, empty)
     assert path.v0 == pytest.approx(0.6, abs=1e-12)
     # Oldest line (birth 0.2 at level 3) exits: age 0.8, stem shortens 0.3.
-    log = EventLog(3, 0.5, 1.2, np.array([1.0]), np.array([1]), np.array([2]))
+    log = EventLog(3, 0.5, 1.2, np.array([1.0]), np.array([2]))
     path2 = build_path(state, log)
     assert path2.jump_times.tolist() == [1.0]
     assert path2.jump_sizes[0] == pytest.approx(1.1)
@@ -223,7 +223,7 @@ def _uniform_target_log(N, n_events, stream):
     times = np.unique(stream.generator.uniform(0.0, 1.0, n_events))
     times = times[times > 0.0]
     targets = stream.generator.integers(2, N + 1, times.size)
-    return EventLog(N, 0.0, 1.0, times, np.ones_like(targets), targets)
+    return EventLog(N, 0.0, 1.0, times, targets)
 
 
 @pytest.mark.parametrize("N", [2, 3, 10, 100, 1000])
@@ -246,8 +246,7 @@ def test_backward_scans_match_literal_walks(N):
     _assert_scans_match_literal(ending, [ending.t_end, ending.times[-run]], initial)
     # An empty log and one of N - 2 events: neither brings the block to 1.
     for head in (slice(0, 0), slice(0, N - 2)):
-        short = EventLog(N, 0.0, 1.0, log.times[head], log.sources[head],
-                         log.targets[head])
+        short = EventLog(N, 0.0, 1.0, log.times[head], log.targets[head])
         assert _literal_resolve(short, initial)[1] > 1
         assert _assert_scans_match_literal(short, queries, initial) == 0
     # Pair-law logs, from a few events up to past the root.
@@ -359,13 +358,14 @@ def test_stationary_increments_validation():
 
 def _literal_lower_steps(n, k, reps, stream):
     # Run the stationary construction's level assignment on step numbers in
-    # place of depths and read off the steps that landed on levels 2..k.
+    # place of times and read off the steps that landed on levels 2..k. The
+    # steps run backward in time, so the pairs are passed last step first.
     m = np.arange(n, 1, -1, dtype=np.int64)
-    step_ids = np.arange(n - 1, dtype=np.float64)
+    step_ids = np.arange(n - 2, -1, -1, dtype=np.float64)
     out = np.empty((reps, k - 1))
     for r in range(reps):
-        targets = decode_pair(stream.generator.integers(0, m * (m - 1) // 2))[1]
-        out[r] = np.sort(_kernels.assign_levels(n, targets, step_ids)[: k - 1])
+        targets = decode_target(stream.generator.integers(0, m * (m - 1) // 2))
+        out[r] = np.sort(_assign_levels(n, targets[::-1], step_ids)[: k - 1])
     return out
 
 
