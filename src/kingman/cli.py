@@ -164,6 +164,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def build_config(argv: list[str]) -> tuple[str, dict]:
     """Parse argv into (subcommand, option values): flag > config file > default."""
     parser, subparsers = _build_parser()
+    named = next((arg for arg in argv if arg in subparsers), None)
+    for arg in argv[:argv.index(named)] if named else argv:
+        flag = arg.split("=", 1)[0]
+        if flag.startswith("--") and flag not in ("--help", "--version"):
+            # The top level takes no parameters; argparse would read the
+            # flag's value as the subcommand.
+            parser.error(f"{flag} must follow the subcommand, as in "
+                         f"'kingman {named or '<subcommand>'} {flag} ...'")
     ns, unknown = parser.parse_known_args(argv)
     name = ns.subcommand
     if unknown:

@@ -221,28 +221,34 @@ def sample_stationary_state(N: int, t0: float, stream: RngStream) -> "LookdownSt
     return LookdownState(N, t0, stationary_births(N, t0, stream))
 
 
-def _block_shrinking_events(targets: np.ndarray, stop: int, block: int) -> np.ndarray:
+def _block_shrinking_events(targets: np.ndarray, stop: int, N: int) -> np.ndarray:
     """Indices, last to first, of the events before `stop` that shrink the block.
 
-    Scanning backward from index stop - 1 with the bottom block of levels
-    {1, ..., block}, an event with target k <= block shrinks the block by
-    one; the others are inert. The scan ends when the block reaches 1 or
-    the log runs out.
+    Scanning backward from index stop - 1, starting with the bottom block
+    of levels {1, ..., N}, an event with target k at most the block size
+    shrinks the block by one; the others are inert. The scan ends when the
+    block reaches 1 or the log runs out.
 
     Cost: an inert event stays inert as the block shrinks, so each pass
     keeps, with one numpy filter, the events before `stop` whose target is
     at most the block, and Python walks the last 4 * block + 64 of them
     until the block has shrunk to a quarter (or to 1); if they run out
-    first, the next pass filters again from there. Under the pair law
-    about 3B candidates are walked while the block shrinks from B to B/4,
-    so a scan from block N costs O(N) Python steps and O(log N) numpy
-    passes over the log, not one Python step per event.
+    first, the next pass filters again from there. The first pass needs no
+    filter: every target is at most N. Under the pair law about 3B
+    candidates are walked while the block shrinks from B to B/4, so a
+    scan costs O(N) Python steps and O(log N) numpy passes over the log,
+    not one Python step per event.
     """
     hits: list[int] = []
+    block = N
     while block > 1 and stop > 0:
         floor = max(block // 4, 1)
-        candidates = (targets[:stop] <= block).nonzero()[0]
-        tail = candidates[-(4 * block + 64):][::-1]
+        width = 4 * block + 64
+        if block == N:
+            tail = np.arange(stop - 1, max(stop - width, 0) - 1, -1)
+        else:
+            candidates = (targets[:stop] <= block).nonzero()[0]
+            tail = candidates[-width:][::-1]
         stop = int(tail[-1]) if tail.size else 0
         for idx, k in zip(tail.tolist(), targets[tail].tolist()):
             if k <= block:

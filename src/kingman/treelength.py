@@ -13,6 +13,12 @@ list of birth times.
 :func:`reconstruct_length_backward` recomputes l(t) from the log alone by
 genealogy counting, sharing no state machinery with the forward replay; it
 exists to cross-check the incremental engine.
+
+:func:`sample_stationary_length_increments` draws l(epsilon) - l(0) from
+stationarity without a log: two n-coalescents per increment (the window's
+and the time-0 tree's), and a uniform planar embedding of the second that
+reads off the mergers of its K-subsample, all as O(n) numpy work per
+increment in fixed-size row chunks.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lookdown import EventLog, LookdownState, _block_shrinking_events, pair_count
+from .lookdown import EventLog, LookdownState, _block_shrinking_events
 from .rng import RngStream
 
 __all__ = [
@@ -218,56 +224,67 @@ def sample_static_kingman_length(
     return out
 
 
-def _lower_merger_steps(
-    n_levels: int, k: np.ndarray, gen: np.random.Generator
+# Doubles per matrix in one row chunk of the stationary-increment sampler.
+_CHUNK_DOUBLES = 1 << 16
+
+
+def _merger_depths(
+    gen: np.random.Generator, rows: int, inv_rates: np.ndarray
 ) -> np.ndarray:
-    """Steps of the backward stationary construction that resolve levels 2..K.
+    """Merger depths of `rows` coalescents, one per row: the cumulative sums
+    of Exp(1) / C(m,2) for m = n, n-1, ..., 2 (`inv_rates` holds 1/C(m,2)).
+    Each Exp(1) is -ln(U) for U = 1 - random() in (0, 1], computed in place."""
+    depths = gen.random((rows, inv_rates.size))
+    np.subtract(1.0, depths, out=depths)
+    np.log(depths, out=depths)
+    depths *= -inv_rates
+    return np.cumsum(depths, axis=1, out=depths)
 
-    Step s (0-based) of :func:`~kingman.lookdown.stationary_births` merges
-    inside a block of m = n_levels - s levels. The j still unresolved
-    levels among 2..K are the j lowest unresolved levels, so the step
-    resolves one of them with probability C(j+1,2)/C(m,2), independently
-    of the merger depths. With j fixed, the steps of block sizes
-    m0, m0-1, ..., m all miss with probability
 
-        S(m) = prod_{i=m}^{m0} (i-j-1)(i+j) / (i(i-1)),
+def _subsample_merger_depths(
+    depths: np.ndarray, k: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """Merger depths of a uniform k[r]-leaf subsample of each row's tree.
 
-    which telescopes into log-factorials. The next lower step is the
-    largest block size m with S(m) < v for one uniform v in (0, 1]; the
-    bisection for it runs on all replicates at once. `k` holds K per
-    replicate (K >= 1); the K-1 step indices of each replicate come back
-    increasing, concatenated in replicate order.
+    Row r of `depths` holds the n-1 merger depths of an n-leaf Kingman
+    tree, and 1 <= k[r] <= n. The tree is drawn in a uniform planar
+    embedding: its depths lie on the n-1 gaps between adjacent leaves in
+    uniform random order. A uniform leaf order combined with a uniform
+    order of the cuts maps 2^(n-1)-to-one onto Kingman's ranked labelled
+    histories, so this embedding is exact. The subsample is k[r] uniform
+    leaf positions; two adjacent marked leaves meet at the largest depth
+    between them, and those k[r]-1 meetings are the subsample's mergers.
+
+    The marks are drawn by adding iid uniform leaves until the row holds
+    k[r] distinct ones. That rule treats all leaves alike, so the set is a
+    uniform k[r]-subset. Past n/2 the unmarked leaves are drawn instead,
+    which keeps each round's repeats below half; a chunk takes a few
+    rounds of O(n) numpy work per row, not a shuffle of every row.
+
+    Returns the k[r]-1 depths of each row, concatenated in row order and
+    each row's in leaf order (not sorted).
     """
-    n = n_levels
-    # lf[i] = ln i! for i = 0..2n-1. In x = m - 2, ln S(m) = A - B(x) with
-    # B(x) = lf[x-j] + lf[x+j+1] - lf[x] - lf[x+1], and A = B(m0 - 1).
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * n)))))
-    lf_up = lf[1:]
-    lf_pair = lf[:-1] + lf[1:]
-    j = np.asarray(k, dtype=np.int64) - 1
-    ends = np.cumsum(j)  # replicate r's steps fill out[ends[r] - j[r]:ends[r]]
-    out = np.empty(int(j.sum()), dtype=np.int64)
-    ceiling = np.full(j.size, n - 1)  # x = m0 - 1, m0 = next step's block size
-    live = np.flatnonzero(j > 0)
-    while live.size:
-        jj, hi = j[live], ceiling[live]
-        # ln S(mid) < ln v  <=>  B(mid) > A - ln v; B(hi) == A exactly, so
-        # hi starts on the "not below" side.
-        bound = (lf[hi - jj] + lf_up[hi + jj] - lf_pair[hi]
-                 - np.log1p(-gen.random(live.size)))
-        lo = jj - 1  # m = j + 1, where S = 0
-        for _ in range(int((hi - lo).max()).bit_length()):
-            # Rounding up keeps mid >= j (S(j+1) = 0 has no finite log);
-            # a closed bracket re-tests hi and stays put.
-            mid = (lo + hi + 1) >> 1
-            below = lf[mid - jj] + lf_up[mid + jj] - lf_pair[mid] > bound
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[ends[live] - jj] = n - 2 - lo
-        j[live] = jj - 1
-        ceiling[live] = lo
-        live = live[jj > 1]
-    return out
+    rows, gaps = depths.shape
+    n = gaps + 1
+    # Leaf j of row r sits before gap r * gaps + j; the spare last slot
+    # closes the segment that opens at the last leaf of the last row.
+    flat = np.empty(rows * gaps + 1)
+    flat[-1] = 0.0
+    gen.permuted(depths, axis=1, out=flat[:-1].reshape(rows, gaps))
+    flip = 2 * k > n
+    want = np.where(flip, n - k, k)
+    marks = np.zeros((rows, n), dtype=bool)
+    short = want
+    while short.any():
+        picks = np.repeat(np.arange(0, rows * n, n), short)
+        picks += gen.integers(0, n, picks.size)
+        marks.reshape(-1)[picks] = True
+        short = want - marks.sum(axis=1, dtype=np.int32)
+    marks[flip] = ~marks[flip]
+    leaves = np.flatnonzero(marks)  # leaf j of row r is r * n + j
+    meets = np.maximum.reduceat(flat, leaves - leaves // n)
+    # The segment opened at each row's last mark runs into the next row.
+    return np.delete(meets, np.cumsum(k) - 1)
 
 
 def sample_stationary_length_increments(
@@ -277,35 +294,27 @@ def sample_stationary_length_increments(
 
     Distributionally exact rewrite of "sample a stationary state, evolve it
     for epsilon, subtract" that never materializes the event log or assigns
-    birth times to levels. One draw costs O(n_levels + K log n_levels)
-    work, where K is the number of final lines that reach back past time 0,
-    no matter how many events the window holds.
+    birth times to levels. The increment depends only on the multiset of
+    final births, which two n-coalescents determine:
 
-    Three independent ingredients determine the increment:
+    * the window. Scanned backward from epsilon, the K unresolved final
+      lines occupy the bottom block of levels, and an event shrinks the
+      block exactly when its target is at most K, at rate C(K,2). So the
+      lags epsilon - t of the resolved births are the first merger depths
+      of an n-coalescent (cumulative sums of Exp(1)/C(m,2), m = n, n-1,
+      ...), kept while at most epsilon; K is n minus their count. When
+      none is kept the increment is exactly n * epsilon;
+    * time 0. The stationary tree's n-1 merger depths are drawn the same
+      way, and l(0) is their sum plus their maximum. The final levels
+      2..K, unresolved by the scan, inherit the births of levels 2..K at
+      time 0, whose ancestry is a uniform K-subsample of that tree; its
+      K-1 merger depths come from :func:`_subsample_merger_depths`. The
+      oldest of them roots the final tree (when K = 1, the oldest lag
+      does).
 
-    * which events, scanned backward from epsilon, are births of final
-      lines. With K final lines still unresolved an event qualifies iff its
-      pair code lands in the bottom C(K,2) of the C(n,2) codes, and then K
-      drops by one; the codes are iid, so the number of inert events before
-      each qualifying one is geometric with the success probability walking
-      K = n, n-1, ... downward. Final levels never resolved by the scan
-      occupied the bottom block at time 0 and inherit the initial births of
-      levels 2..K in order;
-    * where the qualifying events sit in time. Given the window's total
-      event count E (Poisson), the event times are E iid uniforms, whose
-      E+1 spacings are normalized iid Exp(1) draws. Counting from the top,
-      the qualifying positions split the spacings into runs, so the lag
-      epsilon - t of each resolved birth is epsilon times a partial sum of
-      Gamma(run length) draws over the Gamma(E+1) total;
-    * the stationary state at time 0, built backward from its n-1
-      coalescent merger depths (cumulative Exp/C(m,2)). Their sum and
-      maximum give l(0). Levels 2..K take the depths of the K-1 "lower"
-      mergers, whose steps form a death chain independent of the depths
-      (see :func:`_lower_merger_steps`); the last of them is the oldest
-      final line.
-
-    The increment depends only on the multiset of final births, so the
-    final length follows from the resolved lags and the lower depths.
+    Cost: O(n_levels) numpy work per replicate and no per-replicate
+    Python. Replicates go through in row chunks of about 2^16 doubles per
+    matrix, so memory is O(reps) plus a fixed chunk.
     """
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")
@@ -315,43 +324,30 @@ def sample_stationary_length_increments(
         raise ValueError("reps must be at least 1")
     n = n_levels
     gen = stream.generator
-    total_pairs = float(pair_count(n))
     m = np.arange(n, 1, -1, dtype=np.float64)
-    rates = m * (m - 1.0) / 2.0
-    with np.errstate(divide="ignore"):
-        # p = 1 for the first step gives log1p(-1) = -inf; the gap formula
-        # below still returns exactly 1 there.
-        log_miss = np.log1p(-rates / total_pairs)
-    out = np.full(reps, n * epsilon)  # no final line resolved: pure drift
-    resolved = np.zeros(reps, dtype=np.int64)
-    lag_sum = np.zeros(reps)
-    lag_max = np.zeros(reps)
-    for r, n_events in enumerate(gen.poisson(total_pairs * epsilon, reps).tolist()):
-        if n_events == 0:
-            continue
-        u = 1.0 - gen.random(n - 1)
-        gaps = np.floor(np.log(u) / log_miss).astype(np.int64) + 1
-        positions = np.cumsum(gaps)
-        count = int(np.searchsorted(positions, n_events, side="right"))
-        if count == 0:
-            continue
-        partial = np.cumsum(gen.standard_gamma(gaps[:count].astype(np.float64)))
-        total = partial[-1] + gen.standard_gamma(n_events - positions[count - 1] + 1)
-        lags = (epsilon / total) * partial
-        resolved[r] = count
-        lag_sum[r] = lags.sum()
-        lag_max[r] = lags[-1]
-    # K final lines reach back past 0; pure-drift replicates need no steps.
-    k = np.where(resolved > 0, n - resolved, 1)
-    lower_steps = _lower_merger_steps(n, k, gen)
-    ends = np.cumsum(k - 1)
-    for r in np.flatnonzero(resolved).tolist():
-        depths = np.cumsum(gen.standard_exponential(n - 1) / rates)
-        lower = depths[lower_steps[ends[r] - k[r] + 1:ends[r]]]
-        if lower.size:
-            # root stem epsilon + (oldest lower depth), plus K-1 lower lines
-            final = k[r] * epsilon + lower[-1] + lower.sum()
-        else:
-            final = lag_max[r]  # the oldest final line is the last resolved
-        out[r] = final + lag_sum[r] - (depths[-1] + depths.sum())
+    inv_rates = 2.0 / (m * (m - 1.0))
+    out = np.empty(reps)
+    chunk = max(1, _CHUNK_DOUBLES // n)
+    for lo in range(0, reps, chunk):
+        rows = min(chunk, reps - lo)
+        lags = _merger_depths(gen, rows, inv_rates)
+        kept = lags <= epsilon
+        resolved = np.count_nonzero(kept, axis=1)
+        lag_sum = np.sum(lags, axis=1, where=kept)
+        oldest_lag = lags[np.arange(rows), resolved - 1]
+        depths = _merger_depths(gen, rows, inv_rates)
+        k = n - resolved
+        lower = _subsample_merger_depths(depths, k, gen)
+        # Per-row sum and maximum of the lower depths; the spare 0 closes
+        # the last row, and rows with K = 1 have none.
+        starts = np.cumsum(k) - k - np.arange(rows)
+        lower = np.append(lower, 0.0)
+        has_lower = k > 1
+        lower_sum = np.where(has_lower, np.add.reduceat(lower, starts), 0.0)
+        root = np.where(
+            has_lower, epsilon + np.maximum.reduceat(lower, starts), oldest_lag
+        )
+        final = (k - 1) * epsilon + lower_sum + root + lag_sum
+        initial = depths.sum(axis=1) + depths[:, -1]
+        out[lo:lo + rows] = np.where(resolved > 0, final - initial, n * epsilon)
     return out

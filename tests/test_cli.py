@@ -147,6 +147,19 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     assert err.startswith(f"usage: kingman {argv[0]} ")
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["--reps", "5", "gumbel"], "kingman gumbel --reps"),
+    (["--n=20", "mean-length", "--reps", "5"], "kingman mean-length --n"),
+    (["--seed", "3"], "kingman <subcommand> --seed"),
+])
+def test_flag_before_the_subcommand_is_named(argv, shown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = shown.split()[-1]
+    assert f"{flag} must follow the subcommand, as in '{shown} ...'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, argv, expected", [
     ("mean-length", ["--n", "25", "--reps", "100"], {"n_leaves": 25, "reps": 100}),
     ("gumbel", ["--n", "20", "--reps", "50"], {"n_leaves": 20, "reps": 50}),

@@ -1,5 +1,6 @@
 """Smoke tests: the walkthrough scripts in demos/ run to completion."""
 
+import math
 import os
 import subprocess
 import sys
@@ -31,3 +32,12 @@ def test_path_anatomy_backward_length_matches_path():
     final = [ln.split()[-1] for ln in lines if ln.startswith("final length")]
     replayed = [ln.split()[-1] for ln in lines if ln.startswith("replayed length")]
     assert len(final) == 1 and final == replayed
+
+
+def test_variance_ratio_prints_a_finite_ratio_per_step():
+    # The one demo that calls the increment sampler, with up to 20000
+    # increments per call: many row chunks, the last one partial.
+    lines = _run_demo("variance_ratio.py").splitlines()
+    rows = [ln.split() for ln in lines if ln.startswith("  0.")]
+    assert [r[1] for r in rows] == ["8000", "12000", "20000"]
+    assert all(math.isfinite(float(r[3])) and float(r[3]) > 0.0 for r in rows)

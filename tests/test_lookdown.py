@@ -294,6 +294,29 @@ def test_lifelength_variance_level_2():
     assert abs(observed - VAR_LIFE_2) / VAR_LIFE_2 < 0.04
 
 
+def test_replayed_exit_ages_match_life_sampler(assert_same_law):
+    # In the N-level system a line born at level k is pushed up one level at
+    # rate C(j,2) while at level j, and exits from level N; its age at exit
+    # is sum_{j=k}^{N} Exp(C(j,2)), the infinite-level life truncated at
+    # J = N + 1 less the tail mean 2/N. A literal replay keeps each line's
+    # (birth time, birth level) and reads exit ages off the event log.
+    N, span, margin = 30, 2000.0, 40.0
+    log = simulate_events(N, (0.0, span), make_stream(71, 1))
+    lines = [(-math.inf, 0)] * (N - 1)  # levels 2..N; lines from before 0 go unread
+    ages = {2: [], 5: [], N: []}
+    for t, k in zip(log.times.tolist(), log.targets.tolist()):
+        birth, level = lines.pop()
+        if level in ages and birth <= span - margin:
+            ages[level].append(t - birth)
+        lines.insert(k - 2, (t, k))
+    # Lives longer than the margin (chance below e^-38 at level 2) would be
+    # censored; none is.
+    assert all(birth > span - margin for birth, level in lines if level in ages)
+    for k, replayed in ages.items():
+        drawn = sample_lifelengths(k, 20_000, make_stream(71, 1 + k), N + 1) - 2.0 / N
+        assert_same_law(np.array(replayed), drawn)
+
+
 def test_trigamma_matches_scipy():
     k = np.arange(1, 20_001)
     psi = _trigamma(k)

@@ -21,7 +21,8 @@ from kingman.stats import ks_test_two_sample
 from kingman.treelength import (
     InsufficientHistoryError,
     TreeLengthPath,
-    _lower_merger_steps,
+    _CHUNK_DOUBLES,
+    _subsample_merger_depths,
     build_path,
     reconstruct_length_backward,
     sample_static_kingman_length,
@@ -369,30 +370,51 @@ def _literal_lower_steps(n, k, reps, stream):
     return out
 
 
+def _subsample_steps(n, k, gen):
+    # The subsample's merger depths with depth i replaced by step id i; the
+    # depths of a tree increase with the step, so the ids keep their order.
+    steps = np.broadcast_to(np.arange(n - 1, dtype=np.float64), (k.size, n - 1))
+    return _subsample_merger_depths(steps, k, gen)
+
+
 @pytest.mark.parametrize("k", [2, 5, 12])
-def test_lower_merger_steps_match_literal_assignment(k):
+def test_subsample_merger_depths_match_literal_assignment(k):
     n, reps = 40, 3000
-    fast = _lower_merger_steps(n, np.full(reps, k), make_stream(67, k).generator)
-    fast = fast.reshape(reps, k - 1)
-    assert np.all(np.diff(fast, axis=1) > 0)
+    fast = _subsample_steps(n, np.full(reps, k), make_stream(67, k).generator)
+    fast = np.sort(fast.reshape(reps, k - 1), axis=1)
     slow = _literal_lower_steps(n, k, reps, make_stream(67, 100 + k))
     for i in range(k - 1):
         assert ks_test_two_sample(fast[:, i], slow[:, i]).p_value > 1e-3
 
 
-def test_lower_merger_steps_edges():
+def test_subsample_merger_depths_edges():
     gen = make_stream(67, 0).generator
     n = 9
-    # K = n: every step resolves one of levels 2..n.
-    assert _lower_merger_steps(n, np.full(3, n), gen).tolist() == list(range(n - 1)) * 3
-    # K = 2: one step each; K = 1: none.
-    assert _lower_merger_steps(n, np.full(50, 2), gen).shape == (50,)
-    assert _lower_merger_steps(n, np.ones(4, dtype=np.int64), gen).size == 0
-    # Mixed K comes back grouped by replicate, each group increasing.
-    k = np.array([1, n, 2, 5, 1, 3])
-    steps = _lower_merger_steps(n, k, gen)
-    groups = np.split(steps, np.cumsum(k - 1)[:-1])
+    # K = n: every merger is the subsample's.
+    every = _subsample_steps(n, np.full(3, n), gen).reshape(3, n - 1)
+    assert np.sort(every, axis=1).tolist() == [list(range(n - 1))] * 3
+    # K = 2: one merger each; K = 1: none.
+    assert _subsample_steps(n, np.full(50, 2), gen).shape == (50,)
+    assert _subsample_steps(n, np.ones(4, dtype=np.int64), gen).size == 0
+    # Mixed K comes back grouped by row, K - 1 distinct steps per row.
+    k = np.array([1, n, 2, 5, 1, 3, n - 1])
+    groups = np.split(_subsample_steps(n, k, gen), np.cumsum(k - 1)[:-1])
     assert [g.size for g in groups] == (k - 1).tolist()
-    assert groups[1].tolist() == list(range(n - 1))
+    assert sorted(groups[1]) == list(range(n - 1))
     for g in groups:
-        assert np.all(np.diff(g) > 0) and np.all((0 <= g) & (g < n - 1))
+        assert np.unique(g).size == g.size and np.all((0 <= g) & (g < n - 1))
+
+
+def test_stationary_increments_chunking():
+    # A count that spans several row chunks and is not a multiple of the
+    # chunk: the first chunk's draws do not depend on the count, and every
+    # later slot is filled with its own draw.
+    n, eps = 200, 0.05
+    chunk = _CHUNK_DOUBLES // n
+    reps = 4 * chunk + 13
+    out = sample_stationary_length_increments(n, eps, reps, make_stream(61, 4))
+    first = sample_stationary_length_increments(n, eps, chunk, make_stream(61, 4))
+    assert out.shape == (reps,) and np.array_equal(out[:chunk], first)
+    assert np.all(np.isfinite(out)) and np.unique(out).size == reps
+    se = out.std(ddof=1) / math.sqrt(reps)
+    assert abs(out.mean()) < 4.0 * se
