@@ -8,7 +8,10 @@ value is literally one of the table cells, so a report is self-contained.
 Randomness is organized so results do not depend on the worker count: work
 is cut into fixed-size blocks, each block (or each replicate) owns a stream
 derived from (experiment ordinal, counter), and partial results are merged
-in block order. Workers only change wall time.
+in block order. A block is a job, an (fn, args) pair of a module-level
+function and its positional arguments; :func:`_map_blocks` calls fn(*args)
+for each, serially or in worker processes, and returns the results in job
+order. Workers only change wall time.
 
 Experiment ordinals: 0 simulate-path (the CLI path writer), 1 mean-length,
 2 gumbel, 3 poisson-deaths, 4 divergence, 5 qv-scan, 6 variance-scaling,
@@ -39,8 +42,7 @@ from .lookdown import (
 from .reports import ExperimentReport
 from .rng import GENERATOR_ID, derive_stream_id, make_stream
 from .stats import (
-    Partition,
-    RunningStats,
+    dyadic_points,
     fit_log_slope,
     gumbel_cdf,
     independence_check,
@@ -199,16 +201,17 @@ def _new_report(name: str, params: dict, seed: int) -> ExperimentReport:
     return report
 
 
-def _map_blocks(fn, arg_list: list, workers: int) -> list:
-    """Apply `fn` to each block descriptor, returning results in block order."""
-    if workers <= 1 or len(arg_list) <= 1:
-        return [fn(a) for a in arg_list]
+def _map_blocks(jobs: list, workers: int) -> list:
+    """Call fn(*args) for each (fn, args) job, returning results in job order."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(*args) for fn, args in jobs]
     # Imported here: it pulls in multiprocessing, which a one-worker run
     # never needs.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, arg_list))
+        futures = [pool.submit(fn, *args) for fn, args in jobs]
+        return [future.result() for future in futures]
 
 
 def _split(total: int, block: int) -> list[tuple[int, int]]:
@@ -242,12 +245,10 @@ def _increasing(params: dict, key: str, min_points: int) -> list[int]:
 # 1: mean tree length
 # ---------------------------------------------------------------------------
 
-def _mean_length_block(args) -> RunningStats:
-    seed, counter, n_leaves, size = args
-    stream = make_stream(seed, derive_stream_id(ORDINALS["mean-length"], counter))
-    return RunningStats.from_array(
-        sample_static_kingman_length(n_leaves, stream, size=size)
-    )
+def _static_lengths(seed, ordinal, counter, n, size) -> np.ndarray:
+    """`size` static n-leaf tree lengths from the stream (ordinal, counter)."""
+    stream = make_stream(seed, derive_stream_id(ordinal, counter))
+    return sample_static_kingman_length(n, stream, size=size)
 
 
 def run_mean_length(seed: int = 0, n_leaves: int | None = None,
@@ -266,25 +267,23 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
     if total < 2:
         raise ValueError("reps must be at least 2")
     report = _new_report("mean-length", params, seed)
-    args = [
-        (seed, i, n, size)
-        for i, (_, size) in enumerate(_split(total, params["block_reps"]))
-    ]
-    acc = RunningStats()
-    for part in _map_blocks(_mean_length_block, args, workers):
-        acc = acc.merge(part)
+    jobs = [(_static_lengths, (seed, ORDINALS["mean-length"], i, n, size))
+            for i, (_, size) in enumerate(_split(total, params["block_reps"]))]
+    lengths = np.concatenate(_map_blocks(jobs, workers))
+    mean = float(lengths.mean())
+    se = math.sqrt(float(lengths.var(ddof=1)) / total)
     expected = 2.0 * math.fsum(1.0 / k for k in range(1, n))
-    rel_err = abs(acc.mean - expected) / expected
+    rel_err = abs(mean - expected) / expected
     rel_tol = float(params["rel_tol"])
-    if 2.0 * acc.std_error > rel_tol * expected:
+    if 2.0 * se > rel_tol * expected:
         status = "inconclusive"
     else:
         status = "pass" if rel_err <= rel_tol else "fail"
-    mean_z = rel_err / (acc.std_error / expected)
+    mean_z = rel_err / (se / expected)
     report.add_table(
         "summary",
         ["n_leaves", "reps", "mean", "se", "expected", "rel_error", "mean_z"],
-        [[n, total, acc.mean, acc.std_error, expected, rel_err, mean_z]],
+        [[n, total, mean, se, expected, rel_err, mean_z]],
     )
     report.add_verdict("mean_matches_expectation", rel_err, 0.0, rel_tol, status)
     report.add_verdict("mean_z", mean_z, 0.0, None, "info")
@@ -294,13 +293,6 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
 # ---------------------------------------------------------------------------
 # 2: centered length vs the Gumbel law
 # ---------------------------------------------------------------------------
-
-def _gumbel_block(args) -> np.ndarray:
-    seed, counter, n_leaves, size = args
-    stream = make_stream(seed, derive_stream_id(ORDINALS["gumbel"], counter))
-    lengths = sample_static_kingman_length(n_leaves, stream, size=size)
-    return 0.5 * lengths - math.log(n_leaves)
-
 
 def run_gumbel(seed: int = 0, n_leaves: int | None = None,
                reps: int | None = None, workers: int = 1) -> ExperimentReport:
@@ -317,11 +309,9 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
     if total < 8:
         raise ValueError("reps must be at least 8 for the KS test")
     report = _new_report("gumbel", params, seed)
-    args = [
-        (seed, i, n, size)
-        for i, (_, size) in enumerate(_split(total, params["block_reps"]))
-    ]
-    centered = np.concatenate(_map_blocks(_gumbel_block, args, workers))
+    jobs = [(_static_lengths, (seed, ORDINALS["gumbel"], i, n, size))
+            for i, (_, size) in enumerate(_split(total, params["block_reps"]))]
+    centered = 0.5 * np.concatenate(_map_blocks(jobs, workers)) - math.log(n)
     res = ks_test(centered, gumbel_cdf)
     report.add_table(
         "summary",
@@ -353,8 +343,7 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
 # 3: death processes of fixed levels are Poisson(level - 1)
 # ---------------------------------------------------------------------------
 
-def _poisson_deaths_block(args) -> list:
-    seed, rep_lo, size, max_level, window, tol = args
+def _poisson_deaths_block(seed, rep_lo, size, max_level, window, tol) -> list:
     out = []
     for rep in range(rep_lo, rep_lo + size):
         stream = make_stream(seed, derive_stream_id(ORDINALS["poisson-deaths"], rep))
@@ -387,12 +376,10 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
         raise ValueError("reps must be at least 3")
     win = _window(params)
     report = _new_report("poisson-deaths", params, seed)
-    args = [
-        (seed, lo, size, top, win, float(params["truncation_tol"]))
-        for lo, size in _split(total, params["block_reps"])
-    ]
-    by_rep = [rep for block in _map_blocks(_poisson_deaths_block, args, workers)
-              for rep in block]
+    tol = float(params["truncation_tol"])
+    jobs = [(_poisson_deaths_block, (seed, lo, size, top, win, tol))
+            for lo, size in _split(total, params["block_reps"])]
+    by_rep = [rep for block in _map_blocks(jobs, workers) for rep in block]
     levels = list(range(2, top + 1))
     alpha = float(params["alpha"])
     suites = [
@@ -473,8 +460,7 @@ def _squared_life_sums_one_rep(stream, k_max: int, window) -> np.ndarray:
     return totals
 
 
-def _divergence_block(args) -> np.ndarray:
-    seed, rep_lo, size, k_grid, window = args
+def _divergence_block(seed, rep_lo, size, k_grid, window) -> np.ndarray:
     grid = np.asarray(k_grid, dtype=np.int64)
     out = np.empty((size, grid.size))
     for i, rep in enumerate(range(rep_lo, rep_lo + size)):
@@ -510,11 +496,9 @@ def run_divergence(seed: int = 0, k_grid=None,
     if total < 2:
         raise ValueError("reps must be at least 2")
     report = _new_report("divergence", params, seed)
-    args = [
-        (seed, lo, size, tuple(grid), win)
-        for lo, size in _split(total, params["block_reps"])
-    ]
-    matrix = np.vstack(_map_blocks(_divergence_block, args, workers))
+    jobs = [(_divergence_block, (seed, lo, size, tuple(grid), win))
+            for lo, size in _split(total, params["block_reps"])]
+    matrix = np.vstack(_map_blocks(jobs, workers))
     mean_s = matrix.mean(axis=0)
     se_s = matrix.std(axis=0, ddof=1) / math.sqrt(total)
     span = win[1] - win[0]
@@ -569,27 +553,27 @@ def _required_mesh_level(n: int, span: float, factor: float) -> int:
     return int(math.ceil(math.log2(factor * pair_count(n) * span)))
 
 
-def _qv_block(args):
-    if args[0] == "detail":
-        _, seed, n, win, mesh_levels = args
-        stream = make_stream(seed, derive_stream_id(ORDINALS["qv-scan"], 0))
-        state = sample_stationary_state(n, win[0], stream)
-        log = simulate_events(n, win, stream)
-        path = build_path(state, log, compensated=True)
-        rows = qv_mesh_scan(path, win, mesh_levels)
-        return rows, float(np.sum(path.jump_sizes**2)), path.n_jumps
-    _, seed, n, win, reps, counter_base, mesh_level = args
-    qvs = np.empty(reps)
-    part = Partition.dyadic(win[0], win[1], mesh_level)
-    for rep in range(reps):
-        stream = make_stream(
-            seed, derive_stream_id(ORDINALS["qv-scan"], counter_base + rep)
-        )
-        state = sample_stationary_state(n, win[0], stream)
-        log = simulate_events(n, win, stream)
-        path = build_path(state, log, compensated=True)
-        qvs[rep] = quadratic_variation(path, part)
-    return qvs
+def _qv_path(seed, counter, n, win):
+    """One compensated length path on `win`, started from stationarity."""
+    stream = make_stream(seed, derive_stream_id(ORDINALS["qv-scan"], counter))
+    state = sample_stationary_state(n, win[0], stream)
+    return build_path(state, simulate_events(n, win, stream), compensated=True)
+
+
+def _qv_detail(seed, n, win, mesh_levels):
+    """The detail path's (mesh, qv) rows, its squared-jump sum and jump count."""
+    path = _qv_path(seed, 0, n, win)
+    rows = qv_mesh_scan(path, win, mesh_levels)
+    return rows, float(np.sum(path.jump_sizes**2)), path.n_jumps
+
+
+def _qv_grid(seed, n, win, reps, counter_base, mesh_level) -> np.ndarray:
+    """QV at one dyadic level of `reps` paths, from streams counter_base + rep."""
+    points = dyadic_points(win[0], win[1], mesh_level)
+    return np.array([
+        quadratic_variation(_qv_path(seed, counter_base + rep, n, win), points)
+        for rep in range(reps)
+    ])
 
 
 def run_qv_scan(seed: int = 0, n_grid=None,
@@ -629,10 +613,10 @@ def run_qv_scan(seed: int = 0, n_grid=None,
         )
     report = _new_report("qv-scan", params, seed)
     grid_meshes = [_required_mesh_level(n, span, factor) for n in grid]
-    args = [("detail", seed, nd, win, tuple(levels))]
-    for i, (n, mesh) in enumerate(zip(grid, grid_meshes)):
-        args.append(("grid", seed, n, win, total, 1 + i * total, mesh))
-    (mesh_rows, jump_sq, n_jumps), *grid_qvs = _map_blocks(_qv_block, args, workers)
+    jobs = [(_qv_detail, (seed, nd, win, tuple(levels)))]
+    jobs += [(_qv_grid, (seed, n, win, total, 1 + i * total, mesh))
+             for i, (n, mesh) in enumerate(zip(grid, grid_meshes))]
+    (mesh_rows, jump_sq, n_jumps), *grid_qvs = _map_blocks(jobs, workers)
     finest_qv = float(mesh_rows[-1][1])
     rel_gap = abs(finest_qv - jump_sq) / jump_sq
     report.add_table(
@@ -677,8 +661,7 @@ def run_qv_scan(seed: int = 0, n_grid=None,
 # 6: infinitesimal variance ratio of stationary increments
 # ---------------------------------------------------------------------------
 
-def _variance_scaling_block(args) -> np.ndarray:
-    seed, counter, n_levels, eps, size = args
+def _variance_scaling_block(seed, counter, n_levels, eps, size) -> np.ndarray:
     stream = make_stream(
         seed, derive_stream_id(ORDINALS["variance-scaling"], counter)
     )
@@ -715,13 +698,9 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
 
     def sampler(eps: float, count: int) -> np.ndarray:
         base = eps_index[eps] * len(blocks)
-        args = [
-            (seed, base + b, n, eps, size)
-            for b, (_, size) in enumerate(blocks)
-        ]
-        return np.concatenate(
-            _map_blocks(_variance_scaling_block, args, workers)
-        )
+        jobs = [(_variance_scaling_block, (seed, base + b, n, eps, size))
+                for b, (_, size) in enumerate(blocks)]
+        return np.concatenate(_map_blocks(jobs, workers))
 
     rows = variance_scaling(eps_list, total, sampler)
     report.add_table(
@@ -743,42 +722,43 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
 # 7: crosscheck of independent routes
 # ---------------------------------------------------------------------------
 
-def _crosscheck_block(args):
-    if args[0] == "exact":
-        _, seed, n, win, queries, warmup = args
-        t0, t1 = win
-        stream = make_stream(seed, derive_stream_id(ORDINALS["crosscheck"], 0))
-        log = simulate_events(n, (t0 - warmup, t1), stream)
-        start = LookdownState.degenerate(n, t0 - warmup)
-        path = build_path(start, log)
-        qs = t0 + (t1 - t0) * stream.generator.random(queries)
-        recon = np.array([reconstruct_length_backward(log, float(q)) for q in qs])
-        max_rel = float(np.max(np.abs(path.eval(qs) - recon) / np.abs(recon)))
-        # negative control: drop an event near the middle of the query
-        # window and replay; reconstruction of the full log must now visibly
-        # disagree. The dropped event must sit inside the window, because a
-        # perturbation from the warmup era washes out (the displaced line is
-        # pushed up and exits) long before the first query.
-        drop = int(np.searchsorted(log.times, 0.5 * (t0 + t1), side="right")) - 1
-        if drop < 0 or log.times[drop] <= t0:
-            drop = log.n_events // 2
-        keep = np.ones(log.n_events, dtype=bool)
-        keep[drop] = False
-        damaged = EventLog(n, log.t_start, log.t_end, log.times[keep], log.targets[keep])
-        broken = build_path(start, damaged)
-        # The control is also queried at the dropped event's own time, where
-        # the damaged path misses the full jump; at the random query times
-        # the displaced line may already have exited, erasing the damage.
-        t_drop = float(log.times[drop])
-        neg_qs = np.append(qs, t_drop)
-        neg_recon = np.append(recon, reconstruct_length_backward(log, t_drop))
-        neg_err = np.abs(broken.eval(neg_qs) - neg_recon) / np.abs(neg_recon)
-        neg = float(np.max(neg_err))
-        return max_rel, neg
-    _, seed, counter, kind, n, win, size = args
+def _crosscheck_exact(seed, n, win, queries, warmup) -> tuple[float, float]:
+    """Max relative gap of forward replay against backward reconstruction,
+    and the same gap for the negative control."""
+    t0, t1 = win
+    stream = make_stream(seed, derive_stream_id(ORDINALS["crosscheck"], 0))
+    log = simulate_events(n, (t0 - warmup, t1), stream)
+    start = LookdownState.degenerate(n, t0 - warmup)
+    path = build_path(start, log)
+    qs = t0 + (t1 - t0) * stream.generator.random(queries)
+    recon = np.array([reconstruct_length_backward(log, float(q)) for q in qs])
+    max_rel = float(np.max(np.abs(path.eval(qs) - recon) / np.abs(recon)))
+    # negative control: drop an event near the middle of the query window
+    # and replay; reconstruction of the full log must now visibly disagree.
+    # The dropped event must sit inside the window, because a perturbation
+    # from the warmup era washes out (the displaced line is pushed up and
+    # exits) long before the first query.
+    drop = int(np.searchsorted(log.times, 0.5 * (t0 + t1), side="right")) - 1
+    if drop < 0 or log.times[drop] <= t0:
+        drop = log.n_events // 2
+    keep = np.ones(log.n_events, dtype=bool)
+    keep[drop] = False
+    damaged = EventLog(n, log.t_start, log.t_end, log.times[keep], log.targets[keep])
+    broken = build_path(start, damaged)
+    # The control is also queried at the dropped event's own time, where the
+    # damaged path misses the full jump; at the random query times the
+    # displaced line may already have exited, erasing the damage.
+    t_drop = float(log.times[drop])
+    neg_qs = np.append(qs, t_drop)
+    neg_recon = np.append(recon, reconstruct_length_backward(log, t_drop))
+    neg_err = np.abs(broken.eval(neg_qs) - neg_recon) / np.abs(neg_recon)
+    neg = float(np.max(neg_err))
+    return max_rel, neg
+
+
+def _crosscheck_evolved(seed, counter, n, win, size) -> np.ndarray:
+    """`size` end-of-window lengths of systems started from stationarity."""
     stream = make_stream(seed, derive_stream_id(ORDINALS["crosscheck"], counter))
-    if kind == "static":
-        return sample_static_kingman_length(n, stream, size=size)
     t0, t1 = win
     out = np.empty(size)
     for i in range(size):
@@ -816,15 +796,15 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
     if dist_reps < 8:
         raise ValueError("dist_reps must be at least 8 for the KS test")
     report = _new_report("crosscheck", params, seed)
-    blocks = _split(dist_reps, params["block_reps"])
-    args = [("exact", seed, n, win, queries, warmup)]
-    for b, (_, size) in enumerate(blocks):
-        args.append(("dist", seed, 1 + b, "evolved", nd, win, size))
-    for b, (_, size) in enumerate(blocks):
-        args.append(("dist", seed, 1 + len(blocks) + b, "static", nd, win, size))
-    (max_rel, neg), *dist = _map_blocks(_crosscheck_block, args, workers)
-    evolved = np.concatenate(dist[:len(blocks)])
-    static = np.concatenate(dist[len(blocks):])
+    sizes = [size for _, size in _split(dist_reps, params["block_reps"])]
+    jobs = [(_crosscheck_exact, (seed, n, win, queries, warmup))]
+    jobs += [(_crosscheck_evolved, (seed, c, nd, win, size))
+             for c, size in enumerate(sizes, start=1)]
+    jobs += [(_static_lengths, (seed, ORDINALS["crosscheck"], c, nd, size))
+             for c, size in enumerate(sizes, start=1 + len(sizes))]
+    (max_rel, neg), *dist = _map_blocks(jobs, workers)
+    evolved = np.concatenate(dist[:len(sizes)])
+    static = np.concatenate(dist[len(sizes):])
     res = ks_test_two_sample(evolved, static)
     report.add_table(
         "exact",

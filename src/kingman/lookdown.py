@@ -10,6 +10,9 @@ each event's time and target only (the source never moves a birth time).
 :func:`~kingman.treelength.build_path` replays a log forward from it, and
 :func:`resolve_final_state` computes the final list backward from the log
 alone, by the level assignment :func:`stationary_births` also uses.
+Coalescent merger depths (cumulative sums of Exp(1)/C(m,2)) have one draw,
+:func:`_merger_depths`, shared by :func:`stationary_births` and the
+stationary-increment sampler in :mod:`kingman.treelength`.
 
 The infinite-level system has one map from exponential stages to lives,
 :func:`sample_lifelengths`: the total life of a line born at a given level
@@ -194,13 +197,29 @@ def _assign_levels(N: int, targets, times, rest=()) -> np.ndarray:
     return np.array(births)
 
 
+def _merger_depths(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """Merger depths of `rows` independent n-coalescents, one per row.
+
+    The package's one coalescent-depth draw: row r holds the cumulative
+    sums of Exp(1) / C(m,2) for m = n, n-1, ..., 2. Each Exp(1) is -ln(U)
+    for U = 1 - random() in (0, 1], computed in place and divided by the
+    exact integer C(m,2), held as a double (exact while C(m,2) < 2^53).
+    """
+    depths = gen.random((rows, n - 1))
+    np.subtract(1.0, depths, out=depths)
+    np.log(depths, out=depths)
+    np.divide(depths, -pair_count(np.arange(n, 1, -1.0)), out=depths)
+    return np.cumsum(depths, axis=1, out=depths)
+
+
 def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
     """Stationary per-level birth times at t0, as an array for levels 2..N.
 
     Built backward from t0. Tracing the current lines backward, their
     ancestral trajectories always occupy the bottom block of levels
     {1, ..., m}; with m of them left the next merger lies Exp(C(m,2)) deeper
-    and its ordered pair is uniform over the C(m,2) pairs inside the block.
+    (the depths come from :func:`_merger_depths`) and its ordered pair is
+    uniform over the C(m,2) pairs inside the block.
     The trajectory at block level `target` is the one born there, so the
     merger resolves the birth time of the (target-1)-th smallest unresolved
     current level. The resulting tree length reproduces the static length
@@ -208,10 +227,9 @@ def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    m = np.arange(N, 1, -1, dtype=np.int64)
-    rates = (m * (m - 1) // 2).astype(np.float64)
-    depths = np.cumsum(stream.exponentials(1.0, N - 1) / rates)
-    targets = decode_target(stream.generator.integers(0, m * (m - 1) // 2))
+    depths = _merger_depths(stream.generator, 1, N)[0]
+    pairs = pair_count(np.arange(N, 1, -1))
+    targets = decode_target(stream.generator.integers(0, pairs))
     # The deepest merger comes first in time.
     return _assign_levels(N, targets[::-1], (t0 - depths)[::-1])
 

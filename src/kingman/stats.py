@@ -2,8 +2,8 @@
 
 Pure functions over immutable inputs: Kolmogorov-Smirnov machinery with the
 asymptotic p-value series, Poissonity and independence checks for death
-processes, quadratic variation over partitions, the variance-scaling ratio,
-log-slope fits, and a mergeable mean/variance accumulator.
+processes, quadratic variation over sorted point arrays (dyadic ones from
+:func:`dyadic_points`), the variance-scaling ratio, and log-slope fits.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 
 __all__ = [
     "KSResult",
-    "Partition",
-    "RunningStats",
+    "dyadic_points",
     "fit_log_slope",
     "gumbel_cdf",
     "independence_check",
@@ -112,45 +111,19 @@ def gumbel_cdf(x: np.ndarray | float) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# Partitions and quadratic variation
+# Quadratic variation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
-    """A finite partition s = p_0 < p_1 < ... < p_m = t of a window."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("partition needs at least two points")
-        if not np.all(np.diff(pts) > 0.0):
-            raise ValueError("partition points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n_cells(self) -> int:
-        return self.points.size - 1
-
-    @classmethod
-    def uniform(cls, start: float, end: float, n_cells: int) -> "Partition":
-        if n_cells < 1:
-            raise ValueError("need at least one cell")
-        return cls(np.linspace(start, end, n_cells + 1))
-
-    @classmethod
-    def dyadic(cls, start: float, end: float, level: int) -> "Partition":
-        """2^level uniform cells."""
-        if level < 0:
-            raise ValueError("dyadic level must be nonnegative")
-        return cls.uniform(start, end, 2**level)
+def dyadic_points(start: float, end: float, level: int) -> np.ndarray:
+    """The 2^level + 1 points that cut [start, end] into 2^level equal cells."""
+    if level < 0:
+        raise ValueError("dyadic level must be nonnegative")
+    return np.linspace(start, end, 2**level + 1)
 
 
-def quadratic_variation(path, partition: Partition) -> float:
-    """Sum of squared path increments over the partition cells."""
-    values = path.eval(partition.points)
-    return float(np.sum(np.diff(values) ** 2))
+def quadratic_variation(path, points: np.ndarray) -> float:
+    """Sum of squared path increments between consecutive sorted points."""
+    return float(np.sum(np.diff(path.eval(points)) ** 2))
 
 
 def qv_mesh_scan(path, window: tuple[float, float], levels: Sequence[int]):
@@ -164,8 +137,8 @@ def qv_mesh_scan(path, window: tuple[float, float], levels: Sequence[int]):
         raise ValueError("window must have positive length")
     rows = []
     for m in levels:
-        part = Partition.dyadic(s, t, m)
-        rows.append(((t - s) * 2.0 ** (-m), quadratic_variation(path, part)))
+        qv = quadratic_variation(path, dyadic_points(s, t, m))
+        rows.append(((t - s) * 2.0 ** (-m), qv))
     return rows
 
 
@@ -175,9 +148,6 @@ def qv_mesh_scan(path, window: tuple[float, float], levels: Sequence[int]):
 
 @dataclass(frozen=True)
 class PoissonSuiteResult:
-    level: int
-    window: tuple[float, float]
-    n_reps: int
     counts: np.ndarray
     expected_count: float
     mean_count: float
@@ -238,9 +208,6 @@ def poisson_suite(samples, alpha: float = 0.05) -> PoissonSuiteResult:
         if pooled_gaps.size >= _KS_MIN_N:
             pooled = ks_test(pooled_gaps, cdf)
     return PoissonSuiteResult(
-        level=level,
-        window=window,
-        n_reps=n_reps,
         counts=counts,
         expected_count=expected,
         mean_count=mean_count,
@@ -255,7 +222,6 @@ def poisson_suite(samples, alpha: float = 0.05) -> PoissonSuiteResult:
 
 @dataclass(frozen=True)
 class IndependenceResult:
-    levels: np.ndarray
     max_abs_correlation: float
     argmax_pair: tuple[int, int]
     degenerate_levels: tuple[int, ...]
@@ -279,13 +245,12 @@ def independence_check(count_matrix: np.ndarray, levels: Sequence[int]) -> Indep
     keep = stds > 0.0
     kept_levels = levels[keep]
     if kept_levels.size < 2:
-        return IndependenceResult(levels, 0.0, (0, 0), tuple(int(v) for v in degenerate))
+        return IndependenceResult(0.0, (0, 0), tuple(int(v) for v in degenerate))
     corr = np.corrcoef(m[:, keep], rowvar=False)
     off = np.abs(corr - np.eye(corr.shape[0]))
     flat = int(np.argmax(off))
     i, j = divmod(flat, corr.shape[0])
     return IndependenceResult(
-        levels=levels,
         max_abs_correlation=float(off[i, j]),
         argmax_pair=(int(kept_levels[i]), int(kept_levels[j])),
         degenerate_levels=tuple(int(v) for v in degenerate),
@@ -348,47 +313,3 @@ def variance_scaling(
         rows.append((eps, mean_sq / denom, mean_sq, se))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Mergeable accumulator
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunningStats:
-    """Mean and variance accumulator with an associative pairwise merge."""
-
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    @classmethod
-    def from_array(cls, xs: np.ndarray) -> "RunningStats":
-        xs = np.asarray(xs, dtype=np.float64)
-        out = cls()
-        if xs.size == 0:
-            return out
-        out.n = int(xs.size)
-        out.mean = float(xs.mean())
-        out.m2 = float(np.sum((xs - xs.mean()) ** 2))
-        return out
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.mean += delta * other.n / n
-        self.m2 += other.m2 + delta * delta * self.n * other.n / n
-        self.n = n
-        return self
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else math.nan
-
-    @property
-    def std_error(self) -> float:
-        return math.sqrt(self.variance / self.n) if self.n > 1 else math.nan

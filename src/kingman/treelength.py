@@ -18,7 +18,9 @@ exists to cross-check the incremental engine.
 stationarity without a log: two n-coalescents per increment (the window's
 and the time-0 tree's), and a uniform planar embedding of the second that
 reads off the mergers of its K-subsample, all as O(n) numpy work per
-increment in fixed-size row chunks.
+increment in fixed-size row chunks. Both coalescents' merger depths come
+from :func:`~kingman.lookdown._merger_depths`, the one coalescent-depth
+draw, which :func:`~kingman.lookdown.stationary_births` also uses.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lookdown import EventLog, LookdownState, _block_shrinking_events
+from .lookdown import (
+    EventLog,
+    LookdownState,
+    _block_shrinking_events,
+    _merger_depths,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -56,9 +63,7 @@ def tree_length(births, t: float) -> float:
 class TreeLengthPath:
     """Piecewise-linear cadlag path: slope N between sorted downward jumps.
 
-    Values are defined on [t0, t1]; eval raises outside. With
-    compensated=True the whole path is shifted down by 2 ln N, the leading
-    term of the stationary mean, which leaves every increment unchanged.
+    Values are defined on [t0, t1]; eval raises outside.
     """
 
     N: int
@@ -70,7 +75,6 @@ class TreeLengthPath:
     jump_sizes: np.ndarray
     exit_ages: np.ndarray
     root_flags: np.ndarray
-    compensated: bool = False
     _cum_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -123,7 +127,9 @@ def build_path(
     Each event pops the birth at level N (the exiting line), inserts the
     event time at the target level, and drops the length by the exiting
     line's age; when that line was the oldest, the root stem also shortens
-    to the next-oldest birth, found by a rescan of the list.
+    to the next-oldest birth, found by a rescan of the list. With
+    compensated=True the whole path is shifted down by 2 ln N, the leading
+    term of the stationary mean, which leaves every increment unchanged.
     """
     if initial_state.N != log.N:
         raise ValueError("state and log disagree on N")
@@ -163,7 +169,6 @@ def build_path(
         jump_sizes=sizes,
         exit_ages=ages,
         root_flags=flags,
-        compensated=compensated,
     )
 
 
@@ -228,19 +233,6 @@ def sample_static_kingman_length(
 _CHUNK_DOUBLES = 1 << 16
 
 
-def _merger_depths(
-    gen: np.random.Generator, rows: int, inv_rates: np.ndarray
-) -> np.ndarray:
-    """Merger depths of `rows` coalescents, one per row: the cumulative sums
-    of Exp(1) / C(m,2) for m = n, n-1, ..., 2 (`inv_rates` holds 1/C(m,2)).
-    Each Exp(1) is -ln(U) for U = 1 - random() in (0, 1], computed in place."""
-    depths = gen.random((rows, inv_rates.size))
-    np.subtract(1.0, depths, out=depths)
-    np.log(depths, out=depths)
-    depths *= -inv_rates
-    return np.cumsum(depths, axis=1, out=depths)
-
-
 def _subsample_merger_depths(
     depths: np.ndarray, k: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
@@ -301,8 +293,8 @@ def sample_stationary_length_increments(
       lines occupy the bottom block of levels, and an event shrinks the
       block exactly when its target is at most K, at rate C(K,2). So the
       lags epsilon - t of the resolved births are the first merger depths
-      of an n-coalescent (cumulative sums of Exp(1)/C(m,2), m = n, n-1,
-      ...), kept while at most epsilon; K is n minus their count. When
+      of an n-coalescent (from :func:`~kingman.lookdown._merger_depths`),
+      kept while at most epsilon; K is n minus their count. When
       none is kept the increment is exactly n * epsilon;
     * time 0. The stationary tree's n-1 merger depths are drawn the same
       way, and l(0) is their sum plus their maximum. The final levels
@@ -324,18 +316,16 @@ def sample_stationary_length_increments(
         raise ValueError("reps must be at least 1")
     n = n_levels
     gen = stream.generator
-    m = np.arange(n, 1, -1, dtype=np.float64)
-    inv_rates = 2.0 / (m * (m - 1.0))
     out = np.empty(reps)
     chunk = max(1, _CHUNK_DOUBLES // n)
     for lo in range(0, reps, chunk):
         rows = min(chunk, reps - lo)
-        lags = _merger_depths(gen, rows, inv_rates)
+        lags = _merger_depths(gen, rows, n)
         kept = lags <= epsilon
         resolved = np.count_nonzero(kept, axis=1)
         lag_sum = np.sum(lags, axis=1, where=kept)
         oldest_lag = lags[np.arange(rows), resolved - 1]
-        depths = _merger_depths(gen, rows, inv_rates)
+        depths = _merger_depths(gen, rows, n)
         k = n - resolved
         lower = _subsample_merger_depths(depths, k, gen)
         # Per-row sum and maximum of the lower depths; the spare 0 closes

@@ -111,6 +111,19 @@ def test_exit_codes(tmp_path):
     assert main(["mean-length", "--reps", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["qv-scan", "--mesh-levels=-2,20", "--n", "50", "--n-grid", "50,100",
+     "--reps", "2"],
+    # A window this short asks the grid part for a negative dyadic level.
+    ["qv-scan", "--t0", "0", "--t1", "1e-6", "--mesh-levels", "0,20",
+     "--n", "50", "--n-grid", "50,100", "--reps", "2"],
+])
+def test_negative_dyadic_level_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: dyadic level must be nonnegative\n"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -6,6 +6,7 @@ expectations, with seeds fixed so runs are deterministic.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from kingman.lookdown import (
     sample_lifelengths_gamma_tail,
     sample_stationary_state,
     simulate_events,
+    stationary_births,
     _trigamma,
     truncation_level_for,
 )
@@ -458,6 +460,29 @@ def test_assign_levels_hand_example():
     assert got.tolist() == [-0.1, 0.5, -0.2, -0.3]
     got = _assign_levels(3, np.empty(0, np.int64), np.empty(0), [-1.0, -2.0])
     assert got.tolist() == [-1.0, -2.0]
+
+
+def test_stationary_births_and_events_draw_order_is_pinned():
+    # The pinned seeds of every finite-N criterion depend on these exact
+    # draws: the merger depths (each -ln(1 - U) divided by the integer
+    # C(m,2), then summed), the pair codes after them, and the event log.
+    # Multiplying by a rounded 1/C(m,2) instead moves the last bits.
+    def digest(births):
+        return hashlib.sha256(births.tobytes()).hexdigest()[:16]
+
+    got = [stationary_births(n, 0.0, make_stream(59, i))
+           for i, n in enumerate((2, 3, 40, 1000))]
+    assert got[0].tolist() == [-0.8861184253075127]
+    assert got[1].tolist() == [-0.8844788119840746, -0.9696181313866925]
+    assert [digest(b) for b in got] == [
+        "91c4ee15d4d38e27", "74f0a7b2942482a0", "c4fb9724daf74c31", "36f7b1d7174cc16e",
+    ]
+    log = simulate_events(5, (0.0, 0.8), make_stream(59, 9))
+    assert log.times.tolist() == [
+        0.23440106284279727, 0.26390835787135364, 0.3946262410616961,
+        0.5938134414363404, 0.6336268015499598, 0.7052843503731543,
+    ]
+    assert log.targets.tolist() == [5, 4, 4, 5, 5, 5]
 
 
 def test_stationary_state_structure():

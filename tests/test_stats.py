@@ -10,8 +10,7 @@ from scipy import stats as scipy_stats
 from kingman.lookdown import PointProcessSample
 from kingman.rng import make_stream, sample_poisson_times
 from kingman.stats import (
-    Partition,
-    RunningStats,
+    dyadic_points,
     fit_log_slope,
     gumbel_cdf,
     independence_check,
@@ -99,35 +98,20 @@ class _LinearPath:
         return self.slope * np.asarray(t, dtype=np.float64)
 
 
-def test_partition_constructors():
-    p = Partition.uniform(0.0, 1.0, 4)
-    assert p.n_cells == 4
-    assert np.array_equal(p.points, np.linspace(0, 1, 5))
-    d = Partition.dyadic(2.0, 4.0, 3)
-    assert d.n_cells == 8 and d.points[0] == 2.0 and d.points[-1] == 4.0
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(np.array([1.0]))
-    with pytest.raises(ValueError):
-        Partition(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        Partition.uniform(0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        Partition.dyadic(0.0, 1.0, -1)
-
-
 def test_quadratic_variation_of_linear_path_vanishes_dyadically():
     path = _LinearPath(2.0)
-    part = Partition.uniform(0.0, 1.0, 4)
-    assert quadratic_variation(path, part) == pytest.approx(1.0)
+    assert quadratic_variation(path, np.linspace(0.0, 1.0, 5)) == pytest.approx(1.0)
+    points = dyadic_points(2.0, 4.0, 3)
+    assert points.size == 9 and points[0] == 2.0 and points[-1] == 4.0
+    assert quadratic_variation(path, points) == pytest.approx(8 * (2.0 * 0.25) ** 2)
     rows = qv_mesh_scan(path, (0.0, 1.0), [0, 1, 2, 5])
     for mesh, qv in rows:
         assert qv == pytest.approx(4.0 * mesh)
     assert rows[0][0] == 1.0 and rows[3][0] == pytest.approx(2.0**-5)
     with pytest.raises(ValueError):
         qv_mesh_scan(path, (1.0, 1.0), [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        qv_mesh_scan(path, (0.0, 1.0), [2, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +238,3 @@ def test_variance_scaling_checks_every_epsilon_before_sampling():
     with pytest.raises(ValueError):
         variance_scaling([0.01, 2.0], 5, sampler)
     assert calls == []
-
-
-# ---------------------------------------------------------------------------
-# RunningStats
-# ---------------------------------------------------------------------------
-
-def test_running_stats_matches_numpy():
-    xs = make_stream(73, 0).generator.normal(3.0, 2.0, size=1000)
-    acc = RunningStats()
-    for x in xs:
-        acc.merge(RunningStats.from_array([x]))
-    assert acc.n == 1000
-    assert acc.mean == pytest.approx(xs.mean(), rel=1e-12)
-    assert acc.variance == pytest.approx(xs.var(ddof=1), rel=1e-10)
-    assert acc.std_error == pytest.approx(xs.std(ddof=1) / math.sqrt(1000), rel=1e-10)
-
-
-def test_running_stats_merge_equals_whole():
-    xs = make_stream(73, 1).generator.normal(size=997)
-    whole = RunningStats.from_array(xs)
-    left = RunningStats.from_array(xs[:400])
-    right = RunningStats.from_array(xs[400:])
-    left.merge(right)
-    assert left.n == whole.n
-    assert left.mean == pytest.approx(whole.mean, rel=1e-12)
-    assert left.m2 == pytest.approx(whole.m2, rel=1e-10)
-    empty = RunningStats()
-    empty.merge(whole)
-    assert empty.mean == pytest.approx(whole.mean, rel=1e-12)
