@@ -202,7 +202,12 @@ def _new_report(name: str, params: dict, seed: int) -> ExperimentReport:
 
 
 def _map_blocks(jobs: list, workers: int) -> list:
-    """Call fn(*args) for each (fn, args) job, returning results in job order."""
+    """Call fn(*args) for each (fn, args) job, returning results in job order.
+
+    With several workers, results are collected in job order; at the first
+    job that raised, every job not yet started is cancelled and its
+    exception propagates without waiting for them.
+    """
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*args) for fn, args in jobs]
     # Imported here: it pulls in multiprocessing, which a one-worker run
@@ -211,7 +216,11 @@ def _map_blocks(jobs: list, workers: int) -> list:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args) for fn, args in jobs]
-        return [future.result() for future in futures]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _split(total: int, block: int) -> list[tuple[int, int]]:
@@ -611,8 +620,11 @@ def run_qv_scan(seed: int = 0, n_grid=None,
             f"finest mesh level {levels[-1]} is coarser than the required "
             f"level {need} for detail_n={nd} (factor {factor})"
         )
-    report = _new_report("qv-scan", params, seed)
     grid_meshes = [_required_mesh_level(n, span, factor) for n in grid]
+    if min(levels[0], grid_meshes[0]) < 0:
+        # dyadic_points raises this too; checked here so that no job starts.
+        raise ValueError("dyadic level must be nonnegative")
+    report = _new_report("qv-scan", params, seed)
     jobs = [(_qv_detail, (seed, nd, win, tuple(levels)))]
     jobs += [(_qv_grid, (seed, n, win, total, 1 + i * total, mesh))
              for i, (n, mesh) in enumerate(zip(grid, grid_meshes))]

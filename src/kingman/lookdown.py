@@ -202,13 +202,15 @@ def _merger_depths(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
 
     The package's one coalescent-depth draw: row r holds the cumulative
     sums of Exp(1) / C(m,2) for m = n, n-1, ..., 2. Each Exp(1) is -ln(U)
-    for U = 1 - random() in (0, 1], computed in place and divided by the
-    exact integer C(m,2), held as a double (exact while C(m,2) < 2^53).
+    for U = 1 - random() in (0, 1], computed in place and divided by
+    -C(m,2) = m (1 - m) / 2, formed in doubles; every step is exact while
+    m (m - 1) < 2^53, so the divisor is the exact integer -C(m,2).
     """
     depths = gen.random((rows, n - 1))
     np.subtract(1.0, depths, out=depths)
     np.log(depths, out=depths)
-    np.divide(depths, -pair_count(np.arange(n, 1, -1.0)), out=depths)
+    m = np.arange(n, 1, -1.0)
+    np.divide(depths, m * (1.0 - m) * 0.5, out=depths)
     return np.cumsum(depths, axis=1, out=depths)
 
 

@@ -4,6 +4,11 @@ Pure functions over immutable inputs: Kolmogorov-Smirnov machinery with the
 asymptotic p-value series, Poissonity and independence checks for death
 processes, quadratic variation over sorted point arrays (dyadic ones from
 :func:`dyadic_points`), the variance-scaling ratio, and log-slope fits.
+
+The quadratic variation never evaluates the path at the points: each
+cell's increment is the path's drift over the cell minus the jumps that
+fall in it, summed over fixed chunks of cells, so its memory is
+O(jumps + chunk) whatever the mesh.
 """
 
 from __future__ import annotations
@@ -121,9 +126,36 @@ def dyadic_points(start: float, end: float, level: int) -> np.ndarray:
     return np.linspace(start, end, 2**level + 1)
 
 
+# Cells of the point array handled per chunk by quadratic_variation.
+_QV_CHUNK_CELLS = 1 << 16
+
+
 def quadratic_variation(path, points: np.ndarray) -> float:
-    """Sum of squared path increments between consecutive sorted points."""
-    return float(np.sum(np.diff(path.eval(points)) ** 2))
+    """Sum of squared path increments between consecutive sorted points.
+
+    `path` is piecewise linear with downward jumps (a
+    :class:`~kingman.treelength.TreeLengthPath`), so the increment over
+    the cell (p_i, p_i+1] is slope (p_i+1 - p_i) minus the sizes of the
+    jumps inside it; the path is never evaluated at the points. Each jump
+    is put in its cell by one ``searchsorted``: a jump exactly on a point
+    belongs to the cell that ends there (the path is cadlag), and jumps
+    outside [p_0, p_last] fall in no cell. The cells are then walked in
+    chunks of 2^16, so memory is O(jumps) plus a fixed chunk, not O(points).
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.size and (points[0] < path.t0 or points[-1] > path.t1):
+        raise ValueError(f"times outside [{path.t0}, {path.t1}]")
+    n_cells = points.size - 1
+    cells = np.searchsorted(points, path.jump_times, side="left") - 1
+    total = 0.0
+    for lo in range(0, n_cells, _QV_CHUNK_CELLS):
+        hi = min(lo + _QV_CHUNK_CELLS, n_cells)
+        # Cells are sorted, so the chunk's jumps are one slice of them.
+        a, b = np.searchsorted(cells, (lo, hi))
+        jumps = np.bincount(cells[a:b] - lo, weights=path.jump_sizes[a:b], minlength=hi - lo)
+        incr = path.slope * np.diff(points[lo:hi + 1]) - jumps
+        total += float(incr @ incr)
+    return total
 
 
 def qv_mesh_scan(path, window: tuple[float, float], levels: Sequence[int]):

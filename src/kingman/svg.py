@@ -27,6 +27,9 @@ _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 46.0
 
+# Polyline points scaled and formatted per chunk.
+_POINT_CHUNK = 8192
+
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if not hi > lo:
@@ -49,6 +52,20 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _coords(xs: np.ndarray, ys: np.ndarray, sx, sy) -> list[str]:
+    """Polyline "x,y" pairs in plot coordinates, separated by spaces, as
+    fragments of _POINT_CHUNK points, each scaled and formatted on its own."""
+    coords = []
+    for lo in range(0, xs.size, _POINT_CHUNK):
+        if lo:
+            coords.append(" ")
+        chunk = slice(lo, lo + _POINT_CHUNK)
+        coords.append(" ".join(map(
+            "{:.2f},{:.2f}".format, sx(xs[chunk]).tolist(), sy(ys[chunk]).tolist()
+        )))
+    return coords
 
 
 def _esc(text: str) -> str:
@@ -80,6 +97,11 @@ def emit_svg(
     each series is drawn as a right-continuous staircase (the value holds
     until the next point), which is the correct rendering for jump
     processes sampled at their jump times.
+
+    Polyline points are scaled and formatted in chunks of 8192 and the
+    document is joined once from its fragments, so besides the input
+    arrays it holds about twice the document's length, not several
+    copies of every point.
 
     Raises ValueError when no series or an empty series is supplied.
     """
@@ -118,22 +140,29 @@ def emit_svg(
     def sy(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
+    # Fragments of the document, each line closed by its own "\n", so a
+    # long polyline is never copied into a line of its own.
+    parts = []
+
+    def put(*fragments: str) -> None:
+        parts.extend(fragments)
+        parts.append("\n")
+
+    put(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}" '
         f'font-family="sans-serif" font-size="12">'
     )
     if description:
-        out.append(f"<desc>{_esc(description)}</desc>")
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    out.append(
+        put(f"<desc>{_esc(description)}</desc>")
+    put(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    put(
         f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" '
         f'stroke="#444444" stroke-width="1"/>'
     )
     if title:
-        out.append(
+        put(
             f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
             f'font-size="14">{_esc(title)}</text>'
         )
@@ -142,17 +171,17 @@ def emit_svg(
         if not x_lo <= tick <= x_hi:
             continue
         px = sx(tick)
-        out.append(
+        put(
             f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP)}" '
             f'x2="{_fmt(px)}" y2="{_fmt(_MARGIN_TOP + plot_h)}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        out.append(
+        put(
             f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
             f'x2="{_fmt(px)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
             f'stroke="#444444" stroke-width="1"/>'
         )
-        out.append(
+        put(
             f'<text x="{_fmt(px)}" y="{_fmt(_MARGIN_TOP + plot_h + 18)}" '
             f'text-anchor="middle">{tick:g}</text>'
         )
@@ -160,22 +189,22 @@ def emit_svg(
         if not y_lo <= tick <= y_hi:
             continue
         py = sy(tick)
-        out.append(
+        put(
             f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
             f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
-        out.append(
+        put(
             f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(py)}" '
             f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(py)}" '
             f'stroke="#444444" stroke-width="1"/>'
         )
-        out.append(
+        put(
             f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(py + 4)}" '
             f'text-anchor="end">{tick:g}</text>'
         )
     if x_label:
-        out.append(
+        put(
             f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
             f'y="{_fmt(height - 10.0)}" text-anchor="middle">'
             f"{_esc(x_label)}</text>"
@@ -183,7 +212,7 @@ def emit_svg(
     if y_label:
         cx = 16.0
         cy = _MARGIN_TOP + plot_h / 2
-        out.append(
+        put(
             f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
             f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
             f"{_esc(y_label)}</text>"
@@ -196,12 +225,9 @@ def emit_svg(
             # (x0, y0), then (x1, y0), (x1, y1), (x2, y1), (x2, y2), ...
             xs = np.concatenate((xs[:1], np.repeat(xs[1:], 2)))
             ys = np.concatenate((np.repeat(ys[:-1], 2), ys[-1:]))
-        coords = " ".join(
-            map("{:.2f},{:.2f}".format, sx(xs).tolist(), sy(ys).tolist())
-        )
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
+        put(
+            '<polyline points="', *_coords(xs, ys, sx, sy),
+            f'" fill="none" stroke="{color}" stroke-width="1.5"/>',
         )
 
     legend_x = _MARGIN_LEFT + plot_w - 150.0
@@ -209,14 +235,14 @@ def emit_svg(
     for idx, (label, _) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         ly = legend_y + 16.0 * idx
-        out.append(
+        put(
             f'<line x1="{_fmt(legend_x)}" y1="{_fmt(ly)}" '
             f'x2="{_fmt(legend_x + 22)}" y2="{_fmt(ly)}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        out.append(
+        put(
             f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(ly + 4)}">'
             f"{_esc(label)}</text>"
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    put("</svg>")
+    return "".join(parts)

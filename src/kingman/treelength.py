@@ -118,6 +118,10 @@ class TreeLengthPath:
         return self.eval(self.t1)
 
 
+# Events per slice of the log that build_path turns into Python lists.
+_REPLAY_SLICE = 8192
+
+
 def build_path(
     initial_state: LookdownState, log: EventLog, compensated: bool = False
 ) -> TreeLengthPath:
@@ -146,17 +150,22 @@ def build_path(
     flags = np.zeros(n, dtype=bool)
     births = list(initial_state.births)
     oldest = min(births)
-    for idx, (t, k) in enumerate(zip(log.times.tolist(), log.targets.tolist())):
-        birth = births.pop()
-        births.insert(k - 2, t)
-        exited[idx] = birth
-        if birth <= oldest:
-            # The inserted time never lowers the minimum: it is later than
-            # every birth in the list.
-            new_oldest = min(births)
-            sizes[idx] = new_oldest - oldest
-            flags[idx] = True
-            oldest = new_oldest
+    # The log is read as Python floats and ints one slice at a time, so
+    # its list copies stay a fixed size however long the log is.
+    for lo in range(0, n, _REPLAY_SLICE):
+        times = log.times[lo:lo + _REPLAY_SLICE].tolist()
+        targets = log.targets[lo:lo + _REPLAY_SLICE].tolist()
+        for idx, t, k in zip(range(lo, n), times, targets):
+            birth = births.pop()
+            births.insert(k - 2, t)
+            exited[idx] = birth
+            if birth <= oldest:
+                # The inserted time never lowers the minimum: it is later
+                # than every birth in the list.
+                new_oldest = min(births)
+                sizes[idx] = new_oldest - oldest
+                flags[idx] = True
+                oldest = new_oldest
     ages = np.subtract(log.times, exited, out=exited)
     sizes += ages
     return TreeLengthPath(

@@ -4,13 +4,17 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kingman.cli import _FLAGS, main, read_config_file
+from kingman.cli import _FLAGS, _path_corners, main, read_config_file
 from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
+from kingman.lookdown import sample_stationary_state, simulate_events
+from kingman.rng import derive_stream_id, make_stream
 from kingman.svg import emit_svg
+from kingman.treelength import build_path
 
 
 def read_header_comments(fp, expected_header):
@@ -353,6 +357,25 @@ def test_emit_svg_step_mode_bytes_are_pinned():
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "aae8a05d40357777931879a7ad6d17549a0c87c7eb69d30dbe7ecb428b9c1245"
         )
+
+
+def test_emit_svg_memory_stays_near_the_document_length():
+    # simulate-path's default path (n = 200 on [0, 5]): about 2 * 10^5 corners.
+    stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
+    state = sample_stationary_state(200, 0.0, stream)
+    path = build_path(state, simulate_events(200, (0.0, 5.0), stream), compensated=True)
+    corners = _path_corners(path)
+    tracemalloc.start()
+    try:
+        doc = emit_svg([("compensated length", corners)], title="t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(doc), f"peak {peak / len(doc):.2f} document lengths"
+    # The chunks join into one points list with single spaces.
+    line = next(l for l in doc.splitlines() if l.startswith("<polyline"))
+    coords = line.split('"')[1].split(" ")
+    assert len(coords) == len(corners) and all(c.count(",") == 1 for c in coords)
 
 
 def test_emit_svg_degenerate_ranges_render():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -275,6 +276,26 @@ def test_worker_count_invariance_with_streamed_blocks():
     one = ex.run_variance_scaling(workers=1, **kwargs)
     two = ex.run_variance_scaling(workers=2, **kwargs)
     assert one.to_json() == two.to_json()
+
+
+def _failing_job():
+    raise ValueError("the first job fails")
+
+
+def _slow_job(marks, i):
+    time.sleep(0.2)
+    (marks / str(i)).touch()
+    return i
+
+
+def test_parallel_jobs_stop_at_the_first_failure(tmp_path):
+    jobs = [(pow, (2, i)) for i in range(6)]
+    assert ex._map_blocks(jobs, 2) == [2**i for i in range(6)]
+    jobs = [(_failing_job, ())] + [(_slow_job, (tmp_path, i)) for i in range(20)]
+    with pytest.raises(ValueError, match="first job fails"):
+        ex._map_blocks(jobs, 2)
+    # Only the jobs already handed to a worker may still run.
+    assert len(list(tmp_path.iterdir())) < 20
 
 
 def test_report_json_is_valid_and_complete():

@@ -1,12 +1,15 @@
 """Statistics tests; scipy appears here only as an independent oracle."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy import stats as scipy_stats
 
+from kingman.experiments import _qv_path
 from kingman.lookdown import PointProcessSample
 from kingman.rng import make_stream, sample_poisson_times
 from kingman.stats import (
@@ -22,6 +25,7 @@ from kingman.stats import (
     qv_mesh_scan,
     variance_scaling,
 )
+from kingman.treelength import TreeLengthPath
 
 EXP_CDF = lambda v: 1.0 - np.exp(-np.asarray(v))  # noqa: E731
 
@@ -90,16 +94,28 @@ def test_gumbel_cdf_values():
 # partitions, quadratic variation
 # ---------------------------------------------------------------------------
 
-class _LinearPath:
-    def __init__(self, slope):
-        self.slope = slope
+def _linear_path(slope, t0=0.0, t1=4.0):
+    """A jump-free path with value slope * t on [t0, t1]."""
+    none = np.empty(0)
+    return TreeLengthPath(
+        N=2, t0=t0, t1=t1, v0=slope * t0, slope=slope, jump_times=none,
+        jump_sizes=none, exit_ages=none, root_flags=np.empty(0, dtype=bool),
+    )
 
-    def eval(self, t):
-        return self.slope * np.asarray(t, dtype=np.float64)
+
+def _qv_by_eval(path, points):
+    """Reference route: evaluate the path at every point and difference."""
+    return float(np.sum(np.diff(path.eval(points)) ** 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _replayed_path(n):
+    """qv-scan's compensated path on [0, 1] at n levels (its detail stream)."""
+    return _qv_path(1, 0, n, (0.0, 1.0))
 
 
 def test_quadratic_variation_of_linear_path_vanishes_dyadically():
-    path = _LinearPath(2.0)
+    path = _linear_path(2.0)
     assert quadratic_variation(path, np.linspace(0.0, 1.0, 5)) == pytest.approx(1.0)
     points = dyadic_points(2.0, 4.0, 3)
     assert points.size == 9 and points[0] == 2.0 and points[-1] == 4.0
@@ -112,6 +128,62 @@ def test_quadratic_variation_of_linear_path_vanishes_dyadically():
         qv_mesh_scan(path, (1.0, 1.0), [0])
     with pytest.raises(ValueError, match="nonnegative"):
         qv_mesh_scan(path, (0.0, 1.0), [2, -1])
+
+
+@pytest.mark.parametrize("n", [5, 50, 500])
+def test_quadratic_variation_matches_evaluating_the_path(n):
+    path = _replayed_path(n)
+    assert path.n_jumps > 0
+    for level in range(21):
+        points = dyadic_points(0.0, 1.0, level)
+        want = _qv_by_eval(path, points)
+        assert quadratic_variation(path, points) == pytest.approx(want, rel=1e-10)
+
+
+def test_quadratic_variation_puts_a_jump_on_a_point_in_the_cell_it_ends():
+    times = np.array([0.25, 0.5, 0.6, 1.0])
+    sizes = np.array([0.5, 0.25, 1.0, 2.0])
+    path = TreeLengthPath(
+        N=3, t0=0.0, t1=1.0, v0=4.0, slope=3.0, jump_times=times,
+        jump_sizes=sizes, exit_ages=sizes, root_flags=np.zeros(4, dtype=bool),
+    )
+    points = dyadic_points(0.0, 1.0, 2)
+    # Cells (0, 1/4], (1/4, 1/2], (1/2, 3/4], (3/4, 1] hold one jump each.
+    hand = sum((0.75 - j) ** 2 for j in sizes)
+    assert quadratic_variation(path, points) == pytest.approx(hand, rel=1e-15)
+    assert quadratic_variation(path, points) == pytest.approx(
+        _qv_by_eval(path, points), rel=1e-10)
+    # A jump on the first point happened before the first cell opens.
+    inner = np.array([0.25, 0.375, 0.5])
+    assert quadratic_variation(path, inner) == pytest.approx(
+        0.375**2 + (0.375 - 0.25) ** 2, rel=1e-15)
+    assert quadratic_variation(path, inner) == pytest.approx(
+        _qv_by_eval(path, inner), rel=1e-10)
+
+
+def test_quadratic_variation_on_points_inside_the_window():
+    path = _replayed_path(50)
+    for points in (np.linspace(0.3, 1.0, 4097), np.linspace(0.0, 0.7, 4097),
+                   np.linspace(0.3, 0.7, 200_001), np.array([0.5])):
+        assert quadratic_variation(path, points) == pytest.approx(
+            _qv_by_eval(path, points), rel=1e-10)
+    with pytest.raises(ValueError, match="outside"):
+        quadratic_variation(path, np.linspace(-0.1, 1.0, 9))
+    with pytest.raises(ValueError, match="outside"):
+        quadratic_variation(path, np.linspace(0.0, 1.5, 9))
+
+
+def test_quadratic_variation_memory_does_not_grow_with_the_mesh():
+    path = _replayed_path(500)
+    points = dyadic_points(0.0, 1.0, 20)
+    tracemalloc.start()
+    try:
+        quadratic_variation(path, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 2^20 + 1 points alone take 8 MB.
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
