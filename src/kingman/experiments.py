@@ -42,7 +42,7 @@ from .lookdown import (
 from .reports import ExperimentReport
 from .rng import GENERATOR_ID, derive_stream_id, make_stream
 from .stats import (
-    dyadic_points,
+    MAX_DYADIC_LEVEL,
     fit_log_slope,
     gumbel_cdf,
     independence_check,
@@ -204,9 +204,10 @@ def _new_report(name: str, params: dict, seed: int) -> ExperimentReport:
 def _map_blocks(jobs: list, workers: int) -> list:
     """Call fn(*args) for each (fn, args) job, returning results in job order.
 
-    With several workers, results are collected in job order; at the first
-    job that raised, every job not yet started is cancelled and its
-    exception propagates without waiting for them.
+    With several workers (never more processes than jobs), results are
+    collected in job order; at the first job that raised, every job not
+    yet started is cancelled and its exception propagates without waiting
+    for them.
     """
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*args) for fn, args in jobs]
@@ -214,7 +215,7 @@ def _map_blocks(jobs: list, workers: int) -> list:
     # never needs.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         futures = [pool.submit(fn, *args) for fn, args in jobs]
         try:
             return [future.result() for future in futures]
@@ -572,15 +573,14 @@ def _qv_path(seed, counter, n, win):
 def _qv_detail(seed, n, win, mesh_levels):
     """The detail path's (mesh, qv) rows, its squared-jump sum and jump count."""
     path = _qv_path(seed, 0, n, win)
-    rows = qv_mesh_scan(path, win, mesh_levels)
+    rows = qv_mesh_scan(path, mesh_levels)
     return rows, float(np.sum(path.jump_sizes**2)), path.n_jumps
 
 
 def _qv_grid(seed, n, win, reps, counter_base, mesh_level) -> np.ndarray:
     """QV at one dyadic level of `reps` paths, from streams counter_base + rep."""
-    points = dyadic_points(win[0], win[1], mesh_level)
     return np.array([
-        quadratic_variation(_qv_path(seed, counter_base + rep, n, win), points)
+        quadratic_variation(_qv_path(seed, counter_base + rep, n, win), mesh_level)
         for rep in range(reps)
     ])
 
@@ -621,9 +621,11 @@ def run_qv_scan(seed: int = 0, n_grid=None,
             f"level {need} for detail_n={nd} (factor {factor})"
         )
     grid_meshes = [_required_mesh_level(n, span, factor) for n in grid]
+    # quadratic_variation checks these too; checked here so that no job starts.
     if min(levels[0], grid_meshes[0]) < 0:
-        # dyadic_points raises this too; checked here so that no job starts.
         raise ValueError("dyadic level must be nonnegative")
+    if max(levels[-1], grid_meshes[-1]) > MAX_DYADIC_LEVEL:
+        raise ValueError(f"dyadic level must be at most {MAX_DYADIC_LEVEL}")
     report = _new_report("qv-scan", params, seed)
     jobs = [(_qv_detail, (seed, nd, win, tuple(levels)))]
     jobs += [(_qv_grid, (seed, n, win, total, 1 + i * total, mesh))
@@ -798,15 +800,9 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
         raise ValueError("n_leaves must lie in [2, 200] for the exact arm")
     win = _window(params)
     queries = int(params["queries"])
-    if queries < 1:
-        raise ValueError("queries must be positive")
     warmup = float(params["warmup"])
-    if warmup <= 0.0:
-        raise ValueError("warmup must be positive")
     nd = int(params["dist_n_leaves"])
     dist_reps = int(params["dist_reps"])
-    if dist_reps < 8:
-        raise ValueError("dist_reps must be at least 8 for the KS test")
     report = _new_report("crosscheck", params, seed)
     sizes = [size for _, size in _split(dist_reps, params["block_reps"])]
     jobs = [(_crosscheck_exact, (seed, n, win, queries, warmup))]

@@ -10,34 +10,24 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 __all__ = [
     "ExperimentReport",
     "Verdict",
-    "format_float",
     "format_value",
     "write_header_comments",
 ]
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
-
-
 def format_value(v) -> str:
-    """Render a header/CSV cell: floats round-trip, everything else str()."""
+    """Render a header/CSV cell: floats as the shortest repr that round-trips
+    (nan, inf, -inf included), everything else str()."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format_float(v)
+        # float(): numpy 2 reprs a float64 as np.float64(...).
+        return repr(float(v))
     return str(v)
 
 

@@ -2,13 +2,13 @@
 
 Pure functions over immutable inputs: Kolmogorov-Smirnov machinery with the
 asymptotic p-value series, Poissonity and independence checks for death
-processes, quadratic variation over sorted point arrays (dyadic ones from
-:func:`dyadic_points`), the variance-scaling ratio, and log-slope fits.
+processes, quadratic variation on dyadic meshes of a path's window, the
+variance-scaling ratio, and log-slope fits.
 
-The quadratic variation never evaluates the path at the points: each
+The quadratic variation never evaluates the path on the mesh: each
 cell's increment is the path's drift over the cell minus the jumps that
-fall in it, summed over fixed chunks of cells, so its memory is
-O(jumps + chunk) whatever the mesh.
+fall in it, and only cells that hold a jump are visited, so its time and
+memory are O(jumps) whatever the level.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = [
     "KSResult",
-    "dyadic_points",
+    "MAX_DYADIC_LEVEL",
     "fit_log_slope",
     "gumbel_cdf",
     "independence_check",
@@ -119,59 +119,46 @@ def gumbel_cdf(x: np.ndarray | float) -> np.ndarray | float:
 # Quadratic variation
 # ---------------------------------------------------------------------------
 
-def dyadic_points(start: float, end: float, level: int) -> np.ndarray:
-    """The 2^level + 1 points that cut [start, end] into 2^level equal cells."""
-    if level < 0:
-        raise ValueError("dyadic level must be nonnegative")
-    return np.linspace(start, end, 2**level + 1)
+# Cell indices of finer meshes pass 2^53, past which doubles skip integers.
+MAX_DYADIC_LEVEL = 52
 
 
-# Cells of the point array handled per chunk by quadratic_variation.
-_QV_CHUNK_CELLS = 1 << 16
-
-
-def quadratic_variation(path, points: np.ndarray) -> float:
-    """Sum of squared path increments between consecutive sorted points.
+def quadratic_variation(path, level: int) -> float:
+    """Sum of squared path increments over the 2^level equal cells of the
+    path's window [t0, t1].
 
     `path` is piecewise linear with downward jumps (a
-    :class:`~kingman.treelength.TreeLengthPath`), so the increment over
-    the cell (p_i, p_i+1] is slope (p_i+1 - p_i) minus the sizes of the
-    jumps inside it; the path is never evaluated at the points. Each jump
-    is put in its cell by one ``searchsorted``: a jump exactly on a point
-    belongs to the cell that ends there (the path is cadlag), and jumps
-    outside [p_0, p_last] fall in no cell. The cells are then walked in
-    chunks of 2^16, so memory is O(jumps) plus a fixed chunk, not O(points).
+    :class:`~kingman.treelength.TreeLengthPath`), so the increment over a
+    cell of length h is slope * h minus the sizes of the jumps inside it;
+    the path is never evaluated. A jump at t lies in the cell that ends at
+    t0 + ceil((t - t0)/h) h: a jump on a cell end belongs to the cell it
+    ends (the path is cadlag), and one at t1 to the last cell. Only the
+    cells that hold a jump are visited, each empty cell adding
+    (slope * h)^2, so time and memory are O(jumps) at every level.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.size and (points[0] < path.t0 or points[-1] > path.t1):
-        raise ValueError(f"times outside [{path.t0}, {path.t1}]")
-    n_cells = points.size - 1
-    cells = np.searchsorted(points, path.jump_times, side="left") - 1
-    total = 0.0
-    for lo in range(0, n_cells, _QV_CHUNK_CELLS):
-        hi = min(lo + _QV_CHUNK_CELLS, n_cells)
-        # Cells are sorted, so the chunk's jumps are one slice of them.
-        a, b = np.searchsorted(cells, (lo, hi))
-        jumps = np.bincount(cells[a:b] - lo, weights=path.jump_sizes[a:b], minlength=hi - lo)
-        incr = path.slope * np.diff(points[lo:hi + 1]) - jumps
-        total += float(incr @ incr)
-    return total
+    if level < 0:
+        raise ValueError("dyadic level must be nonnegative")
+    if level > MAX_DYADIC_LEVEL:
+        raise ValueError(f"dyadic level must be at most {MAX_DYADIC_LEVEL}")
+    n_cells = 2**level
+    h = (path.t1 - path.t0) / n_cells
+    drift = path.slope * h
+    # Each jump's cell end in units of h: sorted and at least 1, so the
+    # jumps of each occupied cell start where it changes from the last.
+    ends = np.ceil((path.jump_times - path.t0) / h)
+    starts = np.flatnonzero(np.diff(ends, prepend=0.0))
+    incr = drift - np.add.reduceat(path.jump_sizes, starts)
+    return float(incr @ incr) + (n_cells - starts.size) * drift**2
 
 
-def qv_mesh_scan(path, window: tuple[float, float], levels: Sequence[int]):
-    """Quadratic variation along dyadic refinements of `window`.
+def qv_mesh_scan(path, levels: Sequence[int]):
+    """Quadratic variation along dyadic refinements of the path's window.
 
     Returns a list of (mesh, qv) rows, one per dyadic level, in the order
-    given. Meshes are (t - s) * 2^-m.
+    given. Meshes are (t1 - t0) * 2^-m.
     """
-    s, t = float(window[0]), float(window[1])
-    if not t > s:
-        raise ValueError("window must have positive length")
-    rows = []
-    for m in levels:
-        qv = quadratic_variation(path, dyadic_points(s, t, m))
-        rows.append(((t - s) * 2.0 ** (-m), qv))
-    return rows
+    span = path.t1 - path.t0
+    return [(span * 2.0 ** (-m), quadratic_variation(path, m)) for m in levels]
 
 
 # ---------------------------------------------------------------------------

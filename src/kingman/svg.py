@@ -22,6 +22,8 @@ _PALETTE = (
     "#5b5b5b",
 )
 
+_WIDTH = 720
+_HEIGHT = 440
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
@@ -84,19 +86,14 @@ def emit_svg(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 440,
-    step: bool = False,
     description: str = "",
 ) -> str:
     """Render labeled (x, y) series as a self-contained SVG document.
 
     `series` is a list of (label, points) pairs, points an iterable of
     (x, y) or an (n, 2) float array; arrays are mapped to plot coordinates
-    with numpy, by the same operations as single points. With step=True
-    each series is drawn as a right-continuous staircase (the value holds
-    until the next point), which is the correct rendering for jump
-    processes sampled at their jump times.
+    with numpy, by the same operations as single points. The document is
+    720 by 440 pixels.
 
     Polyline points are scaled and formatted in chunks of 8192 and the
     document is joined once from its fragments, so besides the input
@@ -131,8 +128,8 @@ def emit_svg(
     y_lo -= pad_y
     y_hi += pad_y
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -149,13 +146,13 @@ def emit_svg(
         parts.append("\n")
 
     put(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
         f'font-family="sans-serif" font-size="12">'
     )
     if description:
         put(f"<desc>{_esc(description)}</desc>")
-    put(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    put(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     put(
         f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" '
@@ -163,7 +160,7 @@ def emit_svg(
     )
     if title:
         put(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
             f'font-size="14">{_esc(title)}</text>'
         )
 
@@ -206,7 +203,7 @@ def emit_svg(
     if x_label:
         put(
             f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_fmt(height - 10.0)}" text-anchor="middle">'
+            f'y="{_fmt(_HEIGHT - 10.0)}" text-anchor="middle">'
             f"{_esc(x_label)}</text>"
         )
     if y_label:
@@ -220,13 +217,8 @@ def emit_svg(
 
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
-        xs, ys = pts[:, 0], pts[:, 1]
-        if step and len(pts) > 1:
-            # (x0, y0), then (x1, y0), (x1, y1), (x2, y1), (x2, y2), ...
-            xs = np.concatenate((xs[:1], np.repeat(xs[1:], 2)))
-            ys = np.concatenate((np.repeat(ys[:-1], 2), ys[-1:]))
         put(
-            '<polyline points="', *_coords(xs, ys, sx, sy),
+            '<polyline points="', *_coords(pts[:, 0], pts[:, 1], sx, sy),
             f'" fill="none" stroke="{color}" stroke-width="1.5"/>',
         )
 

@@ -66,7 +66,6 @@ class TreeLengthPath:
     Values are defined on [t0, t1]; eval raises outside.
     """
 
-    N: int
     t0: float
     t1: float
     v0: float
@@ -169,7 +168,6 @@ def build_path(
     ages = np.subtract(log.times, exited, out=exited)
     sizes += ages
     return TreeLengthPath(
-        N=log.N,
         t0=log.t_start,
         t1=log.t_end,
         v0=v0,
@@ -214,9 +212,7 @@ def reconstruct_length_backward(log: EventLog, t: float) -> float:
     return float(np.cumsum(lineages * (clocks - times))[-1])
 
 
-def sample_static_kingman_length(
-    N: int, stream: RngStream, size: int | None = None
-) -> float | np.ndarray:
+def sample_static_kingman_length(N: int, stream: RngStream, size: int) -> np.ndarray:
     """Draw the total length of a static N-leaf coalescent tree.
 
     The tree spends Exp(C(k,2)) with k lineages, contributing k times that,
@@ -225,17 +221,13 @@ def sample_static_kingman_length(
     Exp(1), whose CDF is (1 - e^-x)^(N-1); each draw inverts it at one
     uniform U in [0, 1): L_N = -2 ln(1 - U^(1/(N-1))), computed through
     expm1 so U^(1/(N-1)) near 1 (large N) keeps its digits. U = 0 gives
-    exactly 0.
-    Returns a scalar when size is None, else an array of `size` draws.
+    exactly 0. Returns an array of `size` draws.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    u = stream.generator.random(1 if size is None else int(size))
+    u = stream.generator.random(int(size))
     with np.errstate(divide="ignore"):  # log(0) = -inf maps to length 0
-        out = -2.0 * np.log(-np.expm1(np.log(u) / (N - 1)))
-    if size is None:
-        return float(out[0])
-    return out
+        return -2.0 * np.log(-np.expm1(np.log(u) / (N - 1)))
 
 
 # Doubles per matrix in one row chunk of the stationary-increment sampler.

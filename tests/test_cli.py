@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kingman import experiments
 from kingman.cli import _FLAGS, _path_corners, main, read_config_file
 from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
 from kingman.lookdown import sample_stationary_state, simulate_events
@@ -126,6 +127,17 @@ def test_negative_dyadic_level_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error: dyadic level must be nonnegative\n"
+
+
+def test_dyadic_level_above_52_is_a_usage_error_before_any_job(monkeypatch, capsys):
+    def no_jobs(jobs, workers):
+        raise AssertionError("a job list was run")
+
+    monkeypatch.setattr(experiments, "_map_blocks", no_jobs)
+    argv = ["qv-scan", "--mesh-levels", "0,53", "--n", "50", "--n-grid", "50,100",
+            "--reps", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: dyadic level must be at most 52\n"
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -329,18 +341,9 @@ def test_emit_svg_validation():
         emit_svg([("flat", [0.0, 1.0, 2.0])])
 
 
-def test_emit_svg_step_mode_and_escaping():
+def test_emit_svg_escapes_labels():
     pts = [(0.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
-    flat = emit_svg([("a<b>&\"c\"", pts)])
-    stepped = emit_svg([("s", pts)], step=True)
-    assert "a&lt;b&gt;&amp;&quot;c&quot;" in flat
-    # staircase rendering has 2n - 1 points for n originals
-    def count_coords(doc):
-        line = next(l for l in doc.splitlines() if l.startswith("<polyline"))
-        return line.count(",")
-    assert count_coords(stepped) == 2 * count_coords(flat) - 1
-    # determinism
-    assert emit_svg([("s", pts)], step=True) == stepped
+    assert "a&lt;b&gt;&amp;&quot;c&quot;" in emit_svg([("a<b>&\"c\"", pts)])
 
 
 def test_emit_svg_step_mode_bytes_are_pinned():
@@ -352,10 +355,10 @@ def test_emit_svg_step_mode_bytes_are_pinned():
     for wrap in (list, np.array):
         doc = emit_svg(
             [("staircase", wrap(stairs)), ("two", wrap(two)), ("one", wrap(one))],
-            title="t", x_label="x", y_label="y", step=True, description="d",
+            title="t", x_label="x", y_label="y", description="d",
         )
         assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "aae8a05d40357777931879a7ad6d17549a0c87c7eb69d30dbe7ecb428b9c1245"
+            "264a894dab2d8291fb1ae26b1c4cbfcacbf9ecffa927b2ddf4ab0fc63025dc62"
         )
 
 

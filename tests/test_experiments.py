@@ -1,5 +1,6 @@
 """Tests for the experiment drivers and their reports."""
 
+import concurrent.futures
 import json
 import math
 import time
@@ -296,6 +297,30 @@ def test_parallel_jobs_stop_at_the_first_failure(tmp_path):
         ex._map_blocks(jobs, 2)
     # Only the jobs already handed to a worker may still run.
     assert len(list(tmp_path.iterdir())) < 20
+
+
+def test_parallel_jobs_fork_no_more_workers_than_jobs(monkeypatch):
+    # Runs the jobs inline: no real process may start here.
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert ex._map_blocks([(pow, (2, i)) for i in range(3)], 1000) == [1, 2, 4]
+    assert asked == [3]
 
 
 def test_report_json_is_valid_and_complete():

@@ -13,7 +13,6 @@ from kingman.experiments import _qv_path
 from kingman.lookdown import PointProcessSample
 from kingman.rng import make_stream, sample_poisson_times
 from kingman.stats import (
-    dyadic_points,
     fit_log_slope,
     gumbel_cdf,
     independence_check,
@@ -91,15 +90,24 @@ def test_gumbel_cdf_values():
 
 
 # ---------------------------------------------------------------------------
-# partitions, quadratic variation
+# quadratic variation
 # ---------------------------------------------------------------------------
 
 def _linear_path(slope, t0=0.0, t1=4.0):
     """A jump-free path with value slope * t on [t0, t1]."""
     none = np.empty(0)
     return TreeLengthPath(
-        N=2, t0=t0, t1=t1, v0=slope * t0, slope=slope, jump_times=none,
+        t0=t0, t1=t1, v0=slope * t0, slope=slope, jump_times=none,
         jump_sizes=none, exit_ages=none, root_flags=np.empty(0, dtype=bool),
+    )
+
+
+def _path_with_jumps(times, sizes):
+    """A path of slope 3 on [0, 1] with the given jumps."""
+    return TreeLengthPath(
+        t0=0.0, t1=1.0, v0=4.0, slope=3.0, jump_times=np.array(times),
+        jump_sizes=np.array(sizes), exit_ages=np.array(sizes),
+        root_flags=np.zeros(len(times), dtype=bool),
     )
 
 
@@ -115,19 +123,20 @@ def _replayed_path(n):
 
 
 def test_quadratic_variation_of_linear_path_vanishes_dyadically():
-    path = _linear_path(2.0)
-    assert quadratic_variation(path, np.linspace(0.0, 1.0, 5)) == pytest.approx(1.0)
-    points = dyadic_points(2.0, 4.0, 3)
-    assert points.size == 9 and points[0] == 2.0 and points[-1] == 4.0
-    assert quadratic_variation(path, points) == pytest.approx(8 * (2.0 * 0.25) ** 2)
-    rows = qv_mesh_scan(path, (0.0, 1.0), [0, 1, 2, 5])
+    path = _linear_path(2.0, t0=2.0, t1=4.0)
+    for level in (0, 1, 3, 20, 52):
+        assert quadratic_variation(path, level) == pytest.approx(
+            (2.0 * 2.0) ** 2 / 2**level, rel=1e-15)
+    rows = qv_mesh_scan(path, [0, 1, 2, 5])
+    assert [mesh for mesh, _ in rows] == [2.0, 1.0, 0.5, 2.0**-4]
     for mesh, qv in rows:
-        assert qv == pytest.approx(4.0 * mesh)
-    assert rows[0][0] == 1.0 and rows[3][0] == pytest.approx(2.0**-5)
-    with pytest.raises(ValueError):
-        qv_mesh_scan(path, (1.0, 1.0), [0])
+        assert qv == pytest.approx(8.0 * mesh)
     with pytest.raises(ValueError, match="nonnegative"):
-        qv_mesh_scan(path, (0.0, 1.0), [2, -1])
+        quadratic_variation(path, -1)
+    with pytest.raises(ValueError, match="at most 52"):
+        quadratic_variation(path, 53)
+    with pytest.raises(ValueError, match="nonnegative"):
+        qv_mesh_scan(path, [2, -1])
 
 
 @pytest.mark.parametrize("n", [5, 50, 500])
@@ -135,55 +144,39 @@ def test_quadratic_variation_matches_evaluating_the_path(n):
     path = _replayed_path(n)
     assert path.n_jumps > 0
     for level in range(21):
-        points = dyadic_points(0.0, 1.0, level)
-        want = _qv_by_eval(path, points)
-        assert quadratic_variation(path, points) == pytest.approx(want, rel=1e-10)
+        want = _qv_by_eval(path, np.linspace(path.t0, path.t1, 2**level + 1))
+        assert quadratic_variation(path, level) == pytest.approx(want, rel=1e-10)
 
 
 def test_quadratic_variation_puts_a_jump_on_a_point_in_the_cell_it_ends():
-    times = np.array([0.25, 0.5, 0.6, 1.0])
-    sizes = np.array([0.5, 0.25, 1.0, 2.0])
-    path = TreeLengthPath(
-        N=3, t0=0.0, t1=1.0, v0=4.0, slope=3.0, jump_times=times,
-        jump_sizes=sizes, exit_ages=sizes, root_flags=np.zeros(4, dtype=bool),
-    )
-    points = dyadic_points(0.0, 1.0, 2)
+    sizes = [0.5, 0.25, 1.0, 2.0]
+    path = _path_with_jumps([0.25, 0.5, 0.6, 1.0], sizes)
     # Cells (0, 1/4], (1/4, 1/2], (1/2, 3/4], (3/4, 1] hold one jump each.
-    hand = sum((0.75 - j) ** 2 for j in sizes)
-    assert quadratic_variation(path, points) == pytest.approx(hand, rel=1e-15)
-    assert quadratic_variation(path, points) == pytest.approx(
-        _qv_by_eval(path, points), rel=1e-10)
-    # A jump on the first point happened before the first cell opens.
-    inner = np.array([0.25, 0.375, 0.5])
-    assert quadratic_variation(path, inner) == pytest.approx(
-        0.375**2 + (0.375 - 0.25) ** 2, rel=1e-15)
-    assert quadratic_variation(path, inner) == pytest.approx(
-        _qv_by_eval(path, inner), rel=1e-10)
-
-
-def test_quadratic_variation_on_points_inside_the_window():
-    path = _replayed_path(50)
-    for points in (np.linspace(0.3, 1.0, 4097), np.linspace(0.0, 0.7, 4097),
-                   np.linspace(0.3, 0.7, 200_001), np.array([0.5])):
-        assert quadratic_variation(path, points) == pytest.approx(
-            _qv_by_eval(path, points), rel=1e-10)
-    with pytest.raises(ValueError, match="outside"):
-        quadratic_variation(path, np.linspace(-0.1, 1.0, 9))
-    with pytest.raises(ValueError, match="outside"):
-        quadratic_variation(path, np.linspace(0.0, 1.5, 9))
+    assert sum((0.75 - j) ** 2 for j in sizes) == 1.9375
+    assert quadratic_variation(path, 2) == pytest.approx(1.9375, rel=1e-15)
+    # At level 17, 1/2 ends cell 2^16 - 1 and the next jump lies in cell
+    # 2^16; the jump at t1 ends the last cell.
+    h = 2.0**-17
+    sizes = [0.5, 0.25, 2.0]
+    path = _path_with_jumps([0.5, 0.5 + h / 2, 1.0], sizes)
+    drift = 3.0 * h
+    hand = (2**17 - 3) * drift**2 + sum((drift - j) ** 2 for j in sizes)
+    assert quadratic_variation(path, 17) == pytest.approx(hand, rel=1e-12)
+    assert quadratic_variation(path, 17) == pytest.approx(
+        _qv_by_eval(path, np.linspace(0.0, 1.0, 2**17 + 1)), rel=1e-10)
 
 
 def test_quadratic_variation_memory_does_not_grow_with_the_mesh():
     path = _replayed_path(500)
-    points = dyadic_points(0.0, 1.0, 20)
-    tracemalloc.start()
-    try:
-        quadratic_variation(path, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The 2^20 + 1 points alone take 8 MB.
-    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    for level in (22, 52):
+        tracemalloc.start()
+        try:
+            quadratic_variation(path, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 2^22 + 1 points of a level-22 mesh alone would take 32 MB.
+        assert peak <= 5 * path.jump_times.nbytes, f"level {level}: peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ def test_build_path_validates_alignment():
 
 def test_eval_domain_and_vectorization():
     path = TreeLengthPath(
-        N=3,
         t0=0.0,
         t1=2.0,
         v0=1.0,
@@ -260,11 +259,11 @@ def test_backward_scans_match_literal_walks(N):
 def test_static_length_sampler_moments():
     stream = make_stream(59, 3)
     draws = sample_static_kingman_length(11, stream, size=20_000)
-    assert isinstance(sample_static_kingman_length(11, stream), float)
+    assert sample_static_kingman_length(11, stream, size=1).shape == (1,)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - MEAN_LEN_11) < 3.5 * se
     with pytest.raises(ValueError):
-        sample_static_kingman_length(1, stream)
+        sample_static_kingman_length(1, stream, size=1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 10_000])
@@ -300,7 +299,7 @@ def test_static_length_edge_uniforms_give_finite_lengths():
             assert out[0] == 0.0
             # U = 1/2 is the median: twice the median of a max of n-1 Exp(1)
             assert out[2] == pytest.approx(-2.0 * math.log(1.0 - 0.5 ** (1.0 / (n - 1))))
-        assert sample_static_kingman_length(5, EdgeStream()) == 0.0
+        assert sample_static_kingman_length(5, EdgeStream(), size=1).tolist() == [0.0]
 
 
 def test_evolved_stationary_length_keeps_static_law():
