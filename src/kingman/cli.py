@@ -24,6 +24,7 @@ Exit status: 0 when every verdict passed, 1 when any verdict failed,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -219,7 +220,9 @@ def _resolve_out(path: str) -> str:
 
 
 def _plot_series_from_report(report: ExperimentReport):
-    """First table with two numeric columns and multiple rows, as a series."""
+    """First table with two finite numeric columns and multiple rows, as a
+    series. Picked before the SVG file is opened, so emit_svg never
+    rejects it after the file exists."""
     for t in report.tables:
         if t["name"] == "defaults" or len(t["rows"]) < 2:
             continue
@@ -227,7 +230,8 @@ def _plot_series_from_report(report: ExperimentReport):
         rows = t["rows"]
         numeric = [
             i for i in range(len(cols))
-            if all(isinstance(r[i], (int, float)) and not isinstance(r[i], bool) for r in rows)
+            if all(isinstance(r[i], (int, float)) and not isinstance(r[i], bool)
+                   and math.isfinite(r[i]) for r in rows)
         ]
         if len(numeric) >= 2:
             xi, yi = numeric[0], numeric[1]
@@ -262,15 +266,17 @@ def _write_report(report: ExperimentReport, values: dict) -> list[str]:
                 )
             table_name, series, x_label, y_label = picked
             svg_path = os.path.splitext(out)[0] + ".svg"
-            doc = emit_svg(
-                series,
-                title=f"{report.experiment}: {table_name}",
-                x_label=x_label,
-                y_label=y_label,
-                description=_meta_description(report.experiment, report.seed, report.params),
-            )
             with open(svg_path, "w", encoding="utf-8") as fp:
-                fp.write(doc)
+                emit_svg(
+                    fp,
+                    series,
+                    title=f"{report.experiment}: {table_name}",
+                    x_label=x_label,
+                    y_label=y_label,
+                    description=_meta_description(
+                        report.experiment, report.seed, report.params
+                    ),
+                )
             written.append(svg_path)
     elif values["svg"]:
         raise UsageError("--svg needs --out to name the file")
@@ -288,20 +294,45 @@ def _path_corners(path: TreeLengthPath) -> np.ndarray:
     """(time, value) rows of a path's corners: the start, each jump's left
     limit and landing value, and the end.
 
-    The values are the running sums v0 + slope * (jump time - previous
-    time) - jump size, taken by one sequential cumsum in that order.
+    Built in place: the values column first holds v0, then per jump
+    slope * (jump time - previous time) and -jump size, and one sequential
+    cumsum in that order turns it into the running values.
     """
     n = path.n_jumps
-    steps = np.empty(2 * n + 1)
-    steps[0] = path.v0
-    steps[1::2] = path.slope * np.diff(path.jump_times, prepend=path.t0)
-    steps[2::2] = -path.jump_sizes
     corners = np.empty((2 * n + 2, 2))
-    corners[0, 0] = path.t0
-    corners[1:-1, 0] = np.repeat(path.jump_times, 2)
+    times, values = corners[:, 0], corners[:-1, 1]
+    times[0] = path.t0
+    times[1:-1:2] = times[2:-1:2] = path.jump_times
+    values[0] = path.v0
+    # Each left-limit row's time minus the time of the row above it, which
+    # is the previous jump's (or t0 for the first).
+    gaps = values[1::2]
+    np.subtract(times[1:-1:2], times[:-2:2], out=gaps)
+    gaps *= path.slope
+    np.negative(path.jump_sizes, out=values[2::2])
+    np.cumsum(values, out=values)
     corners[-1] = (path.t1, path.final_value)
-    corners[:-1, 1] = np.cumsum(steps)
     return corners
+
+
+def _write_path_csv(fp, corners: np.ndarray) -> None:
+    """The corners as "time,value" rows, 8192 rows per write.
+
+    repr is format_value's text for every double, nan and inf included.
+    The two rows of a jump share its time, whose repr is taken once.
+    """
+    (t0, v0), (t1, v1) = corners[0].tolist(), corners[-1].tolist()
+    fp.write(f"{t0!r},{v0!r}\n")
+    jumps = corners[1:-1]
+    for lo in range(0, len(jumps), 8192):
+        block = jumps[lo:lo + 8192]
+        fp.write("".join([
+            f"{t},{left!r}\n{t},{landed!r}\n" for t, left, landed in zip(
+                map(repr, block[::2, 0].tolist()),
+                block[::2, 1].tolist(), block[1::2, 1].tolist(),
+            )
+        ]))
+    fp.write(f"{t1!r},{v1!r}\n")
 
 
 def _run_simulate_path(values: dict) -> int:
@@ -317,8 +348,8 @@ def _run_simulate_path(values: dict) -> int:
         raise UsageError("simulate-path requires --out")
     stream = make_stream(seed, derive_stream_id(ORDINALS["simulate-path"], 0))
     state = sample_stationary_state(n, t0, stream)
-    log = simulate_events(n, (t0, t1), stream)
-    path = build_path(state, log, compensated=True)
+    # The event log is dropped once replayed: each event is one jump.
+    path = build_path(state, simulate_events(n, (t0, t1), stream), compensated=True)
     points = _path_corners(path)
 
     out = _resolve_out(values["out"])
@@ -335,27 +366,24 @@ def _run_simulate_path(values: dict) -> int:
     with open(out, "w", encoding="utf-8") as fp:
         write_header_comments(fp, meta)
         fp.write("time,length\n")
-        # repr is format_value's text for every double, nan and inf included.
-        for lo in range(0, len(points), 8192):
-            rows = points[lo:lo + 8192].tolist()
-            fp.write("".join([f"{x!r},{y!r}\n" for x, y in rows]))
+        _write_path_csv(fp, points)
     written = [out]
     if values["svg"]:
         svg_path = os.path.splitext(out)[0] + ".svg"
-        doc = emit_svg(
-            [("compensated length", points)],
-            title=f"compensated tree length, n={n}",
-            x_label="t",
-            y_label="length - 2 ln n",
-            description=_meta_description(
-                "simulate-path", seed, {"n": n, "t0": t0, "t1": t1}
-            ),
-        )
         with open(svg_path, "w", encoding="utf-8") as fp:
-            fp.write(doc)
+            emit_svg(
+                fp,
+                [("compensated length", points)],
+                title=f"compensated tree length, n={n}",
+                x_label="t",
+                y_label="length - 2 ln n",
+                description=_meta_description(
+                    "simulate-path", seed, {"n": n, "t0": t0, "t1": t1}
+                ),
+            )
         written.append(svg_path)
     print(f"simulate-path: n={n} window=({format_value(t0)}, {format_value(t1)}) "
-          f"events={log.n_events} jumps={path.n_jumps}")
+          f"events={path.n_jumps} jumps={path.n_jumps}")
     for path_name in written:
         print(f"wrote {path_name}")
     return 0

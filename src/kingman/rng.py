@@ -82,15 +82,19 @@ class RngStream:
         ss = np.random.SeedSequence([int(self.root_seed), int(self.stream_id)])
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
-    # Uniform draws on (0, 1]: numpy's random() covers [0, 1), so reflect.
-    def _uniform_open_closed(self, size: int | None = None):
-        return 1.0 - self.generator.random(size)
-
     def exponentials(self, rate: float, size: int) -> np.ndarray:
-        """Vector of Exp(rate) draws via -ln(U)/rate, U in (0, 1]."""
+        """Vector of Exp(rate) draws via -ln(U)/rate, U in (0, 1].
+
+        U = 1 - random() reflects numpy's [0, 1) uniforms; each step runs
+        in place, and ln(U)/(-rate) is exactly -(ln(U)/rate).
+        """
         if rate <= 0.0 or not math.isfinite(rate):
             raise ValueError(f"rate must be positive and finite, got {rate}")
-        return -np.log(self._uniform_open_closed(size)) / rate
+        draws = self.generator.random(size)
+        np.subtract(1.0, draws, out=draws)
+        np.log(draws, out=draws)
+        draws /= -rate
+        return draws
 
 
 def make_stream(root_seed: int, stream_id: int) -> RngStream:
@@ -136,8 +140,10 @@ def sample_poisson_times(
         if total > span:
             break
         chunk_size = max(16, chunk_size // 4)
-    times = a + np.cumsum(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
-    times = times[times <= b]
+    times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    np.cumsum(times, out=times)
+    times += a
+    times = times[:np.searchsorted(times, b, "right")]
 
     # Enforce strict increase. Ties can arise only through float rounding,
     # so the loop below runs on (almost always zero) offending indices.

@@ -143,11 +143,18 @@ def quadratic_variation(path, level: int) -> float:
     n_cells = 2**level
     h = (path.t1 - path.t0) / n_cells
     drift = path.slope * h
-    # Each jump's cell end in units of h: sorted and at least 1, so the
-    # jumps of each occupied cell start where it changes from the last.
-    ends = np.ceil((path.jump_times - path.t0) / h)
-    starts = np.flatnonzero(np.diff(ends, prepend=0.0))
-    incr = drift - np.add.reduceat(path.jump_sizes, starts)
+    # Each jump's cell end in units of h, in place: sorted and at least 1,
+    # so the jumps of each occupied cell start where it changes from the last.
+    ends = path.jump_times - path.t0
+    ends /= h
+    np.ceil(ends, out=ends)
+    first = np.empty(ends.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ends[1:], ends[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del ends, first  # freed before the per-cell sums are made
+    incr = np.add.reduceat(path.jump_sizes, starts)
+    np.subtract(drift, incr, out=incr)
     return float(incr @ incr) + (n_cells - starts.size) * drift**2
 
 

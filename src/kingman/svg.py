@@ -56,18 +56,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _coords(xs: np.ndarray, ys: np.ndarray, sx, sy) -> list[str]:
-    """Polyline "x,y" pairs in plot coordinates, separated by spaces, as
-    fragments of _POINT_CHUNK points, each scaled and formatted on its own."""
-    coords = []
+def _coords(xs: np.ndarray, ys: np.ndarray, sx, sy):
+    """Yield polyline "x,y" pairs in plot coordinates, separated by spaces,
+    as fragments of _POINT_CHUNK points, each scaled and formatted on its own."""
     for lo in range(0, xs.size, _POINT_CHUNK):
         if lo:
-            coords.append(" ")
+            yield " "
         chunk = slice(lo, lo + _POINT_CHUNK)
-        coords.append(" ".join(map(
+        yield " ".join(map(
             "{:.2f},{:.2f}".format, sx(xs[chunk]).tolist(), sy(ys[chunk]).tolist()
-        )))
-    return coords
+        ))
 
 
 def _esc(text: str) -> str:
@@ -81,24 +79,26 @@ def _esc(text: str) -> str:
 
 
 def emit_svg(
+    fp,
     series,
     *,
     title: str = "",
     x_label: str = "",
     y_label: str = "",
     description: str = "",
-) -> str:
-    """Render labeled (x, y) series as a self-contained SVG document.
+) -> None:
+    """Write labeled (x, y) series to the text stream `fp` as a
+    self-contained SVG document.
 
     `series` is a list of (label, points) pairs, points an iterable of
     (x, y) or an (n, 2) float array; arrays are mapped to plot coordinates
     with numpy, by the same operations as single points. The document is
     720 by 440 pixels.
 
-    Polyline points are scaled and formatted in chunks of 8192 and the
-    document is joined once from its fragments, so besides the input
-    arrays it holds about twice the document's length, not several
-    copies of every point.
+    Every series is checked before the first write. The document is
+    written fragment by fragment as it is made, polyline points in chunks
+    of 8192 scaled and formatted on their own, so besides the input arrays
+    it holds one chunk's text, never the document.
 
     Raises ValueError when no series or an empty series is supplied.
     """
@@ -137,13 +137,9 @@ def emit_svg(
     def sy(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    # Fragments of the document, each line closed by its own "\n", so a
-    # long polyline is never copied into a line of its own.
-    parts = []
-
-    def put(*fragments: str) -> None:
-        parts.extend(fragments)
-        parts.append("\n")
+    def put(line: str) -> None:
+        fp.write(line)
+        fp.write("\n")
 
     put(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -217,10 +213,9 @@ def emit_svg(
 
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
-        put(
-            '<polyline points="', *_coords(pts[:, 0], pts[:, 1], sx, sy),
-            f'" fill="none" stroke="{color}" stroke-width="1.5"/>',
-        )
+        fp.write('<polyline points="')
+        fp.writelines(_coords(pts[:, 0], pts[:, 1], sx, sy))
+        put(f'" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     legend_x = _MARGIN_LEFT + plot_w - 150.0
     legend_y = _MARGIN_TOP + 10.0
@@ -237,4 +232,3 @@ def emit_svg(
             f"{_esc(label)}</text>"
         )
     put("</svg>")
-    return "".join(parts)

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import io
 import json
 import math
 import tracemalloc
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 
 from kingman import experiments
-from kingman.cli import _FLAGS, _path_corners, main, read_config_file
+from kingman.cli import (
+    _FLAGS, UsageError, _path_corners, _write_report, main, read_config_file,
+)
 from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
+from kingman.reports import ExperimentReport
 from kingman.lookdown import sample_stationary_state, simulate_events
 from kingman.rng import derive_stream_id, make_stream
 from kingman.svg import emit_svg
@@ -95,6 +99,23 @@ def test_simulate_path_output_bytes_are_pinned(tmp_path):
     )
     assert hashlib.sha256((tmp_path / "path.svg").read_bytes()).hexdigest() == (
         "a6df1e9a81d25d57de6d3ab78371eb63c567a0d4dbca0b53de5184901e662acc"
+    )
+
+
+def test_simulate_path_multi_chunk_output_bytes_are_pinned(tmp_path):
+    # About 2 * 10^4 jumps: the CSV and the polyline each span several
+    # 8192-row chunks. Digests of the files written when the whole SVG
+    # document was built in memory before being written.
+    out = tmp_path / "path.csv"
+    assert main([
+        "simulate-path", "--n", "200", "--t1", "1",
+        "--seed", "7", "--svg", "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f472de9ab80644171fe06af42cbe2ebb2b8a2010acf51933b43e70bb1c550167"
+    )
+    assert hashlib.sha256((tmp_path / "path.svg").read_bytes()).hexdigest() == (
+        "1bf9585907a5f546e7d3c05bf9f3fd96780511f230afbe339534bf79ce8d81d2"
     )
 
 
@@ -328,22 +349,45 @@ def test_svg_needs_a_plottable_table(tmp_path):
     assert rc == 2
 
 
+def test_svg_plots_only_finite_columns(tmp_path):
+    report = ExperimentReport("mean-length", {}, 0, "g", "v", "d")
+    report.add_table("t", ["x", "y", "z"], [[1.0, 2.0, 0.5], [2.0, math.nan, 1.5]])
+    values = {"out": str(tmp_path / "r.json"), "format": "json", "svg": True}
+    _write_report(report, values)
+    assert "z vs x" in (tmp_path / "r.svg").read_text()
+    report.tables[0]["rows"][0][2] = math.inf
+    values["out"] = str(tmp_path / "s.json")
+    with pytest.raises(UsageError):
+        _write_report(report, values)
+    assert not (tmp_path / "s.svg").exists()
+
+
+def _svg(series, **labels) -> str:
+    buf = io.StringIO()
+    emit_svg(buf, series, **labels)
+    return buf.getvalue()
+
+
 def test_emit_svg_validation():
-    with pytest.raises(ValueError):
-        emit_svg([])
-    with pytest.raises(ValueError):
-        emit_svg([("empty", [])])
-    with pytest.raises(ValueError):
-        emit_svg([("bad", [(0.0, math.nan)])])
-    with pytest.raises(ValueError):
-        emit_svg([("bad", np.full((3, 2), math.inf))])
-    with pytest.raises(ValueError):
-        emit_svg([("flat", [0.0, 1.0, 2.0])])
+    bad_series = [
+        [],
+        [("empty", [])],
+        [("bad", [(0.0, math.nan)])],
+        [("bad", np.full((3, 2), math.inf))],
+        [("flat", [0.0, 1.0, 2.0])],
+        # A bad series after a good one: nothing is written for either.
+        [("good", [(0.0, 1.0), (1.0, 2.0)]), ("empty", [])],
+    ]
+    for series in bad_series:
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            emit_svg(buf, series)
+        assert buf.getvalue() == ""
 
 
 def test_emit_svg_escapes_labels():
     pts = [(0.0, 1.0), (1.0, 2.0), (2.0, 0.5)]
-    assert "a&lt;b&gt;&amp;&quot;c&quot;" in emit_svg([("a<b>&\"c\"", pts)])
+    assert "a&lt;b&gt;&amp;&quot;c&quot;" in _svg([("a<b>&\"c\"", pts)])
 
 
 def test_emit_svg_step_mode_bytes_are_pinned():
@@ -353,7 +397,7 @@ def test_emit_svg_step_mode_bytes_are_pinned():
     two = [(0.5, 0.0), (2.5, 3.0)]
     one = [(1.5, 1.0)]
     for wrap in (list, np.array):
-        doc = emit_svg(
+        doc = _svg(
             [("staircase", wrap(stairs)), ("two", wrap(two)), ("one", wrap(one))],
             title="t", x_label="x", y_label="y", description="d",
         )
@@ -362,27 +406,33 @@ def test_emit_svg_step_mode_bytes_are_pinned():
         )
 
 
-def test_emit_svg_memory_stays_near_the_document_length():
-    # simulate-path's default path (n = 200 on [0, 5]): about 2 * 10^5 corners.
+def test_emit_svg_streams_in_memory_independent_of_the_point_count(tmp_path):
+    # simulate-path's default path (n = 200 on [0, 5]): about 2 * 10^5
+    # corners, a 2.8 MB document. Streamed to a file, emit_svg holds one
+    # 8192-point chunk's text (about 1 MB peak); a document built in
+    # memory and then written needs twice its length (5.3 MB).
     stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
     state = sample_stationary_state(200, 0.0, stream)
     path = build_path(state, simulate_events(200, (0.0, 5.0), stream), compensated=True)
     corners = _path_corners(path)
-    tracemalloc.start()
-    try:
-        doc = emit_svg([("compensated length", corners)], title="t")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * len(doc), f"peak {peak / len(doc):.2f} document lengths"
+    sink = tmp_path / "path.svg"
+    with open(sink, "w", encoding="utf-8") as fp:
+        tracemalloc.start()
+        try:
+            emit_svg(fp, [("compensated length", corners)], title="t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
     # The chunks join into one points list with single spaces.
-    line = next(l for l in doc.splitlines() if l.startswith("<polyline"))
+    with open(sink, encoding="utf-8") as fp:
+        line = next(l for l in fp if l.startswith("<polyline"))
     coords = line.split('"')[1].split(" ")
     assert len(coords) == len(corners) and all(c.count(",") == 1 for c in coords)
 
 
 def test_emit_svg_degenerate_ranges_render():
-    doc = emit_svg([("flat", [(0.0, 3.0), (1.0, 3.0)])], title="t", x_label="x", y_label="y")
+    doc = _svg([("flat", [(0.0, 3.0), (1.0, 3.0)])], title="t", x_label="x", y_label="y")
     assert "<svg " in doc and "polyline" in doc
-    single = emit_svg([("dot", [(2.0, 2.0)])])
+    single = _svg([("dot", [(2.0, 2.0)])])
     assert "polyline" in single

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from kingman import lookdown
 from kingman.lookdown import (
     GAMMA_TAIL_LEVEL,
     EventLog,
@@ -112,6 +113,9 @@ def test_eventlog_validation():
         EventLog(3, 0.0, 1.0, np.array([0.5, 0.4]), np.array([2, 2]))
     with pytest.raises(ValueError):
         EventLog(3, 0.0, 0.3, np.array([0.5]), np.array([2]))
+    for times in ([math.nan], [0.2, math.nan], [math.nan, 0.5], [0.2, math.nan, 0.5]):
+        with pytest.raises(ValueError):
+            EventLog(3, 0.0, 1.0, np.array(times), np.full(len(times), 2))
     with pytest.raises(ValueError):
         EventLog(3, 0.0, 1.0, np.array([0.5]), np.array([2, 3]))
     with pytest.raises(ValueError):
@@ -264,6 +268,18 @@ def test_lifelength_degenerate_truncation_is_exact_mean():
         sample_lifelengths(5, 1, stream, 4)
     with pytest.raises(ValueError):
         sample_lifelengths(1, 1, stream, 10)
+
+
+@pytest.mark.parametrize("level,J,count", [(2, 52, 1001), (3, 100, 401), (2, 257, 253)])
+def test_lifelength_chunks_round_as_one_product(monkeypatch, level, J, count):
+    # Each count is 1 past a multiple of 4, so 4-row chunks leave a 1-row
+    # tail; it must join the chunk before it, or it is summed as a dot
+    # product and its life moves in the last bits.
+    whole = [sample_lifelengths(level, count, make_stream(seed, 1), J) for seed in range(5)]
+    monkeypatch.setattr(lookdown, "_LIFE_CHUNK", 4 * (J - level))
+    for seed, expected in enumerate(whole):
+        chunked = sample_lifelengths(level, count, make_stream(seed, 1), J)
+        assert np.array_equal(chunked, expected)
 
 
 def test_lifelength_mean_level_2():
