@@ -36,7 +36,7 @@ from .lookdown import sample_stationary_state, simulate_events
 from .reports import ExperimentReport, format_value, write_header_comments
 from .rng import GENERATOR_ID, derive_stream_id, make_stream
 from .svg import emit_svg
-from .treelength import TreeLengthPath, build_path
+from .treelength import build_path
 
 __all__ = ["main", "read_config_file"]
 
@@ -290,28 +290,34 @@ def _meta_description(experiment: str, seed: int, params: dict) -> str:
     return " ".join(parts)
 
 
-def _path_corners(path: TreeLengthPath) -> np.ndarray:
-    """(time, value) rows of a path's corners: the start, each jump's left
-    limit and landing value, and the end.
+def _replayed_corners(n: int, window: tuple[float, float], stream) -> np.ndarray:
+    """(time, value) rows of the corners of a compensated length path
+    replayed on `window` from a stationary start: the start, each jump's
+    left limit and landing value, and the end.
 
-    Built in place: the values column first holds v0, then per jump
+    The event log goes once replayed, and the path, with its exit ages and
+    root flags (not drawn), before the corner matrix is built. The matrix
+    is built in place: the values column first holds v0, then per jump
     slope * (jump time - previous time) and -jump size, and one sequential
     cumsum in that order turns it into the running values.
     """
-    n = path.n_jumps
-    corners = np.empty((2 * n + 2, 2))
+    state = sample_stationary_state(n, window[0], stream)
+    path = build_path(state, simulate_events(n, window, stream), compensated=True)
+    start, end = (path.t0, path.v0), (path.t1, path.final_value)
+    slope, jump_times, jump_sizes = path.slope, path.jump_times, path.jump_sizes
+    del path
+    corners = np.empty((2 * jump_times.size + 2, 2))
     times, values = corners[:, 0], corners[:-1, 1]
-    times[0] = path.t0
-    times[1:-1:2] = times[2:-1:2] = path.jump_times
-    values[0] = path.v0
+    times[0], values[0] = start
+    times[1:-1:2] = times[2:-1:2] = jump_times
     # Each left-limit row's time minus the time of the row above it, which
     # is the previous jump's (or t0 for the first).
     gaps = values[1::2]
     np.subtract(times[1:-1:2], times[:-2:2], out=gaps)
-    gaps *= path.slope
-    np.negative(path.jump_sizes, out=values[2::2])
+    gaps *= slope
+    np.negative(jump_sizes, out=values[2::2])
     np.cumsum(values, out=values)
-    corners[-1] = (path.t1, path.final_value)
+    corners[-1] = end
     return corners
 
 
@@ -347,10 +353,8 @@ def _run_simulate_path(values: dict) -> int:
     if not values["out"]:
         raise UsageError("simulate-path requires --out")
     stream = make_stream(seed, derive_stream_id(ORDINALS["simulate-path"], 0))
-    state = sample_stationary_state(n, t0, stream)
-    # The event log is dropped once replayed: each event is one jump.
-    path = build_path(state, simulate_events(n, (t0, t1), stream), compensated=True)
-    points = _path_corners(path)
+    points = _replayed_corners(n, (t0, t1), stream)
+    jumps = (len(points) - 2) // 2  # each event is one jump
 
     out = _resolve_out(values["out"])
     meta = {
@@ -383,7 +387,7 @@ def _run_simulate_path(values: dict) -> int:
             )
         written.append(svg_path)
     print(f"simulate-path: n={n} window=({format_value(t0)}, {format_value(t1)}) "
-          f"events={path.n_jumps} jumps={path.n_jumps}")
+          f"events={jumps} jumps={jumps}")
     for path_name in written:
         print(f"wrote {path_name}")
     return 0

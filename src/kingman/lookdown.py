@@ -109,7 +109,8 @@ class EventLog:
 
     Storage is struct-of-arrays (times, targets); the event at times[i] is
     a birth into level targets[i]. Its source level is not kept: no jump
-    of the tree length depends on it.
+    of the tree length depends on it. times is a read-only view, so the
+    paths replayed from the log can share it.
     """
 
     N: int
@@ -135,6 +136,8 @@ class EventLog:
             raise ValueError("times/targets lengths differ")
         if t.size and not np.all((2 <= k) & (k <= self.N)):
             raise ValueError("targets must satisfy 2 <= target <= N")
+        t = t.view()
+        t.flags.writeable = False
         self.times, self.targets = t, k
 
     @property

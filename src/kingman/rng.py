@@ -146,10 +146,13 @@ def sample_poisson_times(
     times = times[:np.searchsorted(times, b, "right")]
 
     # Enforce strict increase. Ties can arise only through float rounding,
-    # so the loop below runs on (almost always zero) offending indices.
+    # so the loop below runs on (almost always zero) offending indices,
+    # found by comparing neighbours without copying the arrivals.
     ties = 0
     while times.size:
-        bad = np.flatnonzero(np.diff(times, prepend=a) <= 0.0)
+        bad = np.flatnonzero(times[1:] <= times[:-1]) + 1
+        if times[0] <= a:
+            bad = np.insert(bad, 0, 0)
         if bad.size == 0:
             break
         for idx in bad:

@@ -26,7 +26,7 @@ draw, which :func:`~kingman.lookdown.stationary_births` also uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,8 @@ def tree_length(births, t: float) -> float:
 class TreeLengthPath:
     """Piecewise-linear cadlag path: slope N between sorted downward jumps.
 
-    Values are defined on [t0, t1]; eval raises outside.
+    Values are defined on [t0, t1]; eval raises outside. A path replayed
+    by :func:`build_path` holds its log's read-only times as jump_times.
     """
 
     t0: float
@@ -74,7 +75,6 @@ class TreeLengthPath:
     jump_sizes: np.ndarray
     exit_ages: np.ndarray
     root_flags: np.ndarray
-    _cum_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.jump_times, dtype=np.float64)
@@ -86,28 +86,34 @@ class TreeLengthPath:
         if self.t0 > self.t1:
             raise ValueError("t0 exceeds t1")
         if t.size:
-            if not (np.all(t > self.t0) and np.all(t <= self.t1)):
-                raise ValueError("jump times must lie in (t0, t1]")
-            if not np.all(np.diff(t) > 0.0):
+            if not np.all(t[1:] > t[:-1]):
                 raise ValueError("jump times must be strictly increasing")
+            # Increasing, so the window holds every time if it holds both ends.
+            if not (t[0] > self.t0 and t[-1] <= self.t1):
+                raise ValueError("jump times must lie in (t0, t1]")
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "jump_sizes", s)
         object.__setattr__(self, "exit_ages", a)
         object.__setattr__(self, "root_flags", r)
-        cum = np.concatenate([[0.0], np.cumsum(s)])
-        object.__setattr__(self, "_cum_sizes", cum)
 
     @property
     def n_jumps(self) -> int:
         return int(self.jump_times.size)
 
     def eval(self, t):
-        """Path value at scalar or array t inside [t0, t1] (cadlag)."""
+        """Path value at scalar or array t inside [t0, t1] (cadlag).
+
+        The running jump totals are summed for the call and freed after it:
+        the same doubles as concatenate([[0.0], cumsum(jump_sizes)]).
+        """
         arr = np.asarray(t, dtype=np.float64)
         if arr.size and (arr.min() < self.t0 or arr.max() > self.t1):
             raise ValueError(f"times outside [{self.t0}, {self.t1}]")
         idx = np.searchsorted(self.jump_times, arr, side="right")
-        out = self.v0 + self.slope * (arr - self.t0) - self._cum_sizes[idx]
+        cum = np.empty(self.jump_sizes.size + 1)
+        cum[0] = 0.0
+        np.cumsum(self.jump_sizes, out=cum[1:])
+        out = self.v0 + self.slope * (arr - self.t0) - cum[idx]
         if np.isscalar(t) or arr.ndim == 0:
             return float(out)
         return out
@@ -133,6 +139,7 @@ def build_path(
     to the next-oldest birth, found by a rescan of the list. With
     compensated=True the whole path is shifted down by 2 ln N, the leading
     term of the stationary mean, which leaves every increment unchanged.
+    The path's jump_times is the log's times array itself, not a copy.
     """
     if initial_state.N != log.N:
         raise ValueError("state and log disagree on N")
@@ -172,7 +179,7 @@ def build_path(
         t1=log.t_end,
         v0=v0,
         slope=float(log.N),
-        jump_times=log.times.copy(),
+        jump_times=log.times,
         jump_sizes=sizes,
         exit_ages=ages,
         root_flags=flags,

@@ -12,14 +12,12 @@ import pytest
 
 from kingman import experiments
 from kingman.cli import (
-    _FLAGS, UsageError, _path_corners, _write_report, main, read_config_file,
+    _FLAGS, UsageError, _replayed_corners, _write_report, main, read_config_file,
 )
 from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
 from kingman.reports import ExperimentReport
-from kingman.lookdown import sample_stationary_state, simulate_events
 from kingman.rng import derive_stream_id, make_stream
 from kingman.svg import emit_svg
-from kingman.treelength import build_path
 
 
 def read_header_comments(fp, expected_header):
@@ -117,6 +115,26 @@ def test_simulate_path_multi_chunk_output_bytes_are_pinned(tmp_path):
     assert hashlib.sha256((tmp_path / "path.svg").read_bytes()).hexdigest() == (
         "1bf9585907a5f546e7d3c05bf9f3fd96780511f230afbe339534bf79ce8d81d2"
     )
+
+
+def test_simulate_path_peak_memory_per_event(tmp_path):
+    # Seed 1 on [0, 5] at n = 200: 99,928 jumps. The path shares the log's
+    # times, forms no stored cumulative sizes, and its exit ages and root
+    # flags are gone before the (2 jumps + 2, 2) corner matrix is built:
+    # about 51 bytes per event, against about 77 before those changes.
+    out = tmp_path / "path.csv"
+    args = ["simulate-path", "--n", "200", "--t1", "5", "--seed", "1", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out, encoding="utf-8") as fp:
+        corners = sum(1 for line in fp if line[0].isdigit())
+    events = (corners - 2) // 2
+    assert events == 99_928
+    assert peak <= 60 * events, f"{peak / events:.1f} bytes per event"
 
 
 def test_simulate_path_requires_out():
@@ -412,9 +430,7 @@ def test_emit_svg_streams_in_memory_independent_of_the_point_count(tmp_path):
     # 8192-point chunk's text (about 1 MB peak); a document built in
     # memory and then written needs twice its length (5.3 MB).
     stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
-    state = sample_stationary_state(200, 0.0, stream)
-    path = build_path(state, simulate_events(200, (0.0, 5.0), stream), compensated=True)
-    corners = _path_corners(path)
+    corners = _replayed_corners(200, (0.0, 5.0), stream)
     sink = tmp_path / "path.svg"
     with open(sink, "w", encoding="utf-8") as fp:
         tracemalloc.start()

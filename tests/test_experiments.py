@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from kingman import experiments as ex
 from kingman.lookdown import (
     GAMMA_TAIL_LEVEL,
     sample_infinite_deaths,
+    simulate_events,
     truncation_level_for,
 )
 from kingman.reports import ExperimentReport
-from kingman.rng import make_stream
+from kingman.rng import derive_stream_id, make_stream
 from kingman.stats import fit_log_slope
 
 
@@ -203,6 +205,43 @@ def test_qv_scan_small_structure():
     gap = report.verdict("finest_qv_matches_jump_squares")
     assert gap.observed == report.table("detail_summary")["rows"][0][4]
     _assert_verdicts_reference_cells(report)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_qv_detail_peak_memory_per_event():
+    # qv-scan's default detail path at seed 1: n = 500 on [0, 1], about
+    # 1.25 * 10^5 jumps. The path shares its log's times and stores no
+    # cumulative sizes (about 42 bytes per event); with a copy of the times
+    # and stored cumulative sizes it peaked at about 58.
+    (rows, _, jumps), peak = _traced_peak(
+        ex._qv_detail, 1, 500, (0.0, 1.0), tuple(range(0, 21, 2)))
+    assert len(rows) == 11 and jumps > 10**5
+    assert peak <= 50 * jumps, f"{peak / jumps:.1f} bytes per event"
+
+
+def test_crosscheck_exact_peak_memory_per_event():
+    # The exact arm at seed 1: one log of about 5 * 10^4 events over the
+    # warmup and the window. The replayed path is read at the queries and
+    # dropped before the damaged log and its path are built (about 62
+    # bytes per event); with both paths alive, each with a copy of its
+    # times, the arm peaked at about 108.
+    p = ex.DEFAULTS["crosscheck"]
+    n, win, warmup = p["n_leaves"], p["window"], p["warmup"]
+    stream = make_stream(1, derive_stream_id(ex.ORDINALS["crosscheck"], 0))
+    events = simulate_events(n, (win[0] - warmup, win[1]), stream).n_events
+    (max_rel, neg), peak = _traced_peak(
+        ex._crosscheck_exact, 1, n, win, p["queries"], warmup)
+    assert max_rel < 1e-9 < neg
+    assert peak <= 75 * events, f"{peak / events:.1f} bytes per event"
 
 
 def test_qv_scan_rejects_coarse_mesh():

@@ -1,4 +1,6 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +101,50 @@ def test_poisson_times_strictly_increasing_in_window():
         assert np.all(t > 2.0)
         assert np.all(t <= 12.0)
         assert np.all(np.diff(t) > 0.0)
+
+
+def test_poisson_times_perturbs_tied_arrivals(monkeypatch, caplog):
+    # Every third gap is 0.5 and the rest are exactly zero, so the arrivals
+    # tie with the window start and with each other: 1, 1, 1.5, 1.5, 1.5,
+    # 2, ... Of the 14 arrivals up to 3, 10 repeat their predecessor (or
+    # the start) and move one ulp above it; the two pushed past 3 go.
+    stream = make_stream(3, 5)
+
+    def tied_gaps(rate, size):
+        gaps = np.zeros(size)
+        gaps[2::3] = 0.5
+        return gaps
+
+    monkeypatch.setattr(stream, "exponentials", tied_gaps)
+    with caplog.at_level(logging.WARNING, logger="kingman.rng"):
+        t = sample_poisson_times(stream, 1.0, (1.0, 3.0))
+    assert np.all(t[1:] > t[:-1]) and t[0] > 1.0 and t[-1] <= 3.0
+
+    def up(x):
+        return float(np.nextafter(x, math.inf))
+
+    assert t.tolist() == [
+        up(1.0), up(up(1.0)), 1.5, up(1.5), up(up(1.5)),
+        2.0, up(2.0), up(up(2.0)), 2.5, up(2.5), up(up(2.5)), 3.0,
+    ]
+    assert [r.getMessage() for r in caplog.records] == [
+        "perturbed 10 tied Poisson arrival times by one ulp"
+    ]
+
+
+def test_poisson_times_peak_memory_is_near_the_output():
+    # simulate-path's default event rate, C(200, 2) on [0, 5]: about 10^5
+    # arrivals. The tie check compares neighbours, so it holds no copy of
+    # the arrivals.
+    stream = make_stream(1, 5)
+    tracemalloc.start()
+    try:
+        t = sample_poisson_times(stream, 19900.0, (0.0, 5.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.size > 90_000
+    assert peak <= 1.5 * t.nbytes, f"peak {peak / t.nbytes:.2f} times the output"
 
 
 def test_poisson_times_count_mean_and_dispersion():

@@ -141,6 +141,66 @@ def test_eval_domain_and_vectorization():
         path.eval(np.array([0.5, 2.1]))
 
 
+def test_path_validation_messages():
+    one = np.array([0.5])
+    fields = dict(t0=0.0, t1=1.0, v0=0.0, slope=2.0, jump_sizes=one,
+                  exit_ages=one, root_flags=np.array([False]))
+    with pytest.raises(ValueError, match="must align"):
+        TreeLengthPath(**{**fields, "jump_times": np.array([0.2, 0.4])})
+    with pytest.raises(ValueError, match="t0 exceeds t1"):
+        TreeLengthPath(**{**fields, "t0": 2.0, "jump_times": one})
+    two = dict(fields, jump_sizes=np.ones(2), exit_ages=np.ones(2),
+               root_flags=np.zeros(2, dtype=bool))
+    for times in ([0.4, 0.4], [0.6, 0.3]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TreeLengthPath(**{**two, "jump_times": np.array(times)})
+    for times in ([0.0, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError, match=r"must lie in \(t0, t1\]"):
+            TreeLengthPath(**{**two, "jump_times": np.array(times)})
+    TreeLengthPath(**{**two, "jump_times": np.array([0.5, 1.0])})
+
+
+def test_replayed_path_shares_the_logs_read_only_times():
+    log = simulate_events(200, (0.0, 5.0), make_stream(1, 7))
+    assert log.n_events > 90_000
+    path = build_path(LookdownState.degenerate(200, 0.0), log)
+    assert np.shares_memory(path.jump_times, log.times)
+    with pytest.raises(ValueError, match="read-only"):
+        log.times[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        path.jump_times[-1] = 5.0
+    # The log holds a read-only view: the caller's own array stays writable.
+    times = np.array([0.5, 1.0])
+    EventLog(3, 0.0, 1.0, times, np.array([2, 3]))
+    times[0] = 0.25
+
+
+def _stored_cumsum_eval(path, t):
+    """The path value as computed from stored cumulative jump sizes."""
+    cum = np.concatenate([[0.0], np.cumsum(path.jump_sizes)])
+    arr = np.asarray(t, dtype=np.float64)
+    idx = np.searchsorted(path.jump_times, arr, side="right")
+    return path.v0 + path.slope * (arr - path.t0) - cum[idx]
+
+
+@pytest.mark.parametrize("n, window, compensated", [
+    (7, (0.0, 3.0), False), (50, (2.0, 3.5), True), (200, (0.0, 0.5), True),
+])
+def test_eval_matches_stored_cumsum_bit_for_bit(n, window, compensated):
+    stream = make_stream(61, n)
+    state = sample_stationary_state(n, window[0], stream)
+    path = build_path(state, simulate_events(n, window, stream), compensated)
+    times = path.jump_times
+    mids = 0.5 * (np.concatenate(([path.t0], times[:-1])) + times)
+    for query in (times, mids, np.array([path.t0, path.t1])):
+        got = path.eval(query)
+        want = _stored_cumsum_eval(path, query)
+        assert got.tobytes() == want.tobytes()
+    for t in (times[0], mids[len(mids) // 2], times[-1], path.t1):
+        assert path.eval(float(t)) == float(_stored_cumsum_eval(path, float(t)))
+    assert path.final_value == float(_stored_cumsum_eval(path, path.t1))
+
+
 def test_backward_reconstruction_matches_path():
     # Replay from far before the query window so the root is always inside
     # the log, then compare the two independent computations of l(t).
