@@ -247,7 +247,7 @@ def _write_report(report: ExperimentReport, values: dict) -> list[str]:
         out = _resolve_out(values["out"])
         if values["format"] == "json":
             with open(out, "w", encoding="utf-8") as fp:
-                fp.write(report.to_json())
+                report.write_json(fp)
             written.append(out)
         else:
             stem, ext = os.path.splitext(out)

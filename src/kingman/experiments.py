@@ -21,6 +21,7 @@ Experiment ordinals: 0 simulate-path (the CLI path writer), 1 mean-length,
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -354,11 +355,14 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _poisson_deaths_block(seed, rep_lo, size, max_level, window, tol) -> list:
+    # poisson_suite reads only the death times: each sample's life lengths,
+    # as many doubles again, are let go as soon as it is drawn.
     out = []
     for rep in range(rep_lo, rep_lo + size):
         stream = make_stream(seed, derive_stream_id(ORDINALS["poisson-deaths"], rep))
         out.append([
-            sample_infinite_deaths(level, window, stream, tol=tol)
+            replace(sample_infinite_deaths(level, window, stream, tol=tol),
+                    life_lengths=None)
             for level in range(2, max_level + 1)
         ])
     return out

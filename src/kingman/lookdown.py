@@ -217,16 +217,20 @@ def _assign_levels(N: int, targets, times, rest=()) -> np.ndarray:
     return np.array(births)
 
 
-def _merger_depths(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+def _merger_depths(
+    gen: np.random.Generator, rows: int, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Merger depths of `rows` independent n-coalescents, one per row.
 
     The package's one coalescent-depth draw: row r holds the cumulative
     sums of Exp(1) / C(m,2) for m = n, n-1, ..., 2. Each Exp(1) is -ln(U)
     for U = 1 - random() in (0, 1], computed in place and divided by
     -C(m,2) = m (1 - m) / 2, formed in doubles; every step is exact while
-    m (m - 1) < 2^53, so the divisor is the exact integer -C(m,2).
+    m (m - 1) < 2^53, so the divisor is the exact integer -C(m,2). `out`,
+    a C-contiguous (rows, n - 1) float64 array, receives the depths in
+    place of a new array; the draws are the same either way.
     """
-    depths = gen.random((rows, n - 1))
+    depths = gen.random((rows, n - 1), out=out)
     np.subtract(1.0, depths, out=depths)
     np.log(depths, out=depths)
     m = np.arange(n, 1, -1.0)
@@ -511,32 +515,35 @@ class PointProcessSample:
     """Deaths of one level's lines inside a window, with their life lengths.
 
     death_times is sorted and lies in (window[0], window[1]]; life_lengths
-    aligns with it. Lines are born on (window[0] - burn_in, window[1]] at
-    Poisson rate (level - 1), with burn_in from :func:`default_burn_in`,
-    and die a life length later, so every death in the window is captured
-    up to that burn-in's miss probability.
+    aligns with it, or is None in a sample that keeps only its deaths.
+    Lines are born on (window[0] - burn_in, window[1]] at Poisson rate
+    (level - 1), with burn_in from :func:`default_burn_in`, and die a life
+    length later, so every death in the window is captured up to that
+    burn-in's miss probability.
     """
 
     level: int
     window: tuple[float, float]
     death_times: np.ndarray
-    life_lengths: np.ndarray
+    life_lengths: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         d = np.asarray(self.death_times, dtype=np.float64)
-        t = np.asarray(self.life_lengths, dtype=np.float64)
-        if d.shape != t.shape:
-            raise ValueError("death_times and life_lengths must align")
+        s, e = self.window
         if d.size:
-            s, e = self.window
-            if not (np.all(d > s) and np.all(d <= e)):
-                raise ValueError("death times must lie in the window")
-            if not np.all(np.diff(d) >= 0.0):
+            # Sorted (a NaN fails a comparison), so the ends bound the rest.
+            if not np.all(d[1:] >= d[:-1]):
                 raise ValueError("death times must be sorted")
+            if not (d[0] > s and d[-1] <= e):
+                raise ValueError("death times must lie in the window")
+        object.__setattr__(self, "death_times", d)
+        if self.life_lengths is not None:
+            t = np.asarray(self.life_lengths, dtype=np.float64)
+            if d.shape != t.shape:
+                raise ValueError("death_times and life_lengths must align")
             if np.any(d - t > e):
                 raise ValueError("a birth time exceeds the window end")
-        object.__setattr__(self, "death_times", d)
-        object.__setattr__(self, "life_lengths", t)
+            object.__setattr__(self, "life_lengths", t)
 
     @property
     def count(self) -> int:

@@ -242,18 +242,22 @@ _CHUNK_DOUBLES = 1 << 16
 
 
 def _subsample_merger_depths(
-    depths: np.ndarray, k: np.ndarray, gen: np.random.Generator
+    buf: np.ndarray, k: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
     """Merger depths of a uniform k[r]-leaf subsample of each row's tree.
 
-    Row r of `depths` holds the n-1 merger depths of an n-leaf Kingman
-    tree, and 1 <= k[r] <= n. The tree is drawn in a uniform planar
-    embedding: its depths lie on the n-1 gaps between adjacent leaves in
-    uniform random order. A uniform leaf order combined with a uniform
-    order of the cuts maps 2^(n-1)-to-one onto Kingman's ranked labelled
-    histories, so this embedding is exact. The subsample is k[r] uniform
-    leaf positions; two adjacent marked leaves meet at the largest depth
-    between them, and those k[r]-1 meetings are the subsample's mergers.
+    `buf` holds rows = k.size rows of n-1 doubles back to back, then one
+    spare slot; row r holds the n-1 merger depths of an n-leaf Kingman
+    tree, and 1 <= k[r] <= n. The rows are permuted in place and the
+    spare slot is overwritten, so the caller reads nothing in `buf` after.
+
+    The tree is drawn in a uniform planar embedding: its depths lie on the
+    n-1 gaps between adjacent leaves in uniform random order. A uniform
+    leaf order combined with a uniform order of the cuts maps
+    2^(n-1)-to-one onto Kingman's ranked labelled histories, so this
+    embedding is exact. The subsample is k[r] uniform leaf positions; two
+    adjacent marked leaves meet at the largest depth between them, and
+    those k[r]-1 meetings are the subsample's mergers.
 
     The marks are drawn by adding iid uniform leaves until the row holds
     k[r] distinct ones. That rule treats all leaves alike, so the set is a
@@ -264,13 +268,14 @@ def _subsample_merger_depths(
     Returns the k[r]-1 depths of each row, concatenated in row order and
     each row's in leaf order (not sorted).
     """
-    rows, gaps = depths.shape
+    rows = k.size
+    gaps = (buf.size - 1) // rows
     n = gaps + 1
     # Leaf j of row r sits before gap r * gaps + j; the spare last slot
     # closes the segment that opens at the last leaf of the last row.
-    flat = np.empty(rows * gaps + 1)
-    flat[-1] = 0.0
-    gen.permuted(depths, axis=1, out=flat[:-1].reshape(rows, gaps))
+    buf[-1] = 0.0
+    depths = buf[:-1].reshape(rows, gaps)
+    gen.permuted(depths, axis=1, out=depths)
     flip = 2 * k > n
     want = np.where(flip, n - k, k)
     marks = np.zeros((rows, n), dtype=bool)
@@ -282,9 +287,43 @@ def _subsample_merger_depths(
         short = want - marks.sum(axis=1, dtype=np.int32)
     marks[flip] = ~marks[flip]
     leaves = np.flatnonzero(marks)  # leaf j of row r is r * n + j
-    meets = np.maximum.reduceat(flat, leaves - leaves // n)
+    meets = np.maximum.reduceat(buf, leaves - leaves // n)
     # The segment opened at each row's last mark runs into the next row.
     return np.delete(meets, np.cumsum(k) - 1)
+
+
+def _increment_chunk(
+    gen: np.random.Generator, rows: int, n: int, epsilon: float
+) -> np.ndarray:
+    """`rows` draws of l(epsilon) - l(0) at n levels; see the caller.
+
+    Each (rows, n-1) matrix of depths is reduced to per-row values and let
+    go before the next is drawn, so no two of them are alive at once.
+    """
+    lags = _merger_depths(gen, rows, n)
+    kept = lags <= epsilon
+    resolved = np.count_nonzero(kept, axis=1)
+    lag_sum = np.sum(lags, axis=1, where=kept)
+    oldest_lag = lags[np.arange(rows), resolved - 1]
+    del lags, kept
+    # The time-0 tree, with the spare slot _subsample_merger_depths needs.
+    buf = np.empty(rows * (n - 1) + 1)
+    depths = _merger_depths(gen, rows, n, out=buf[:-1].reshape(rows, n - 1))
+    initial = depths.sum(axis=1) + depths[:, -1]
+    k = n - resolved
+    lower = _subsample_merger_depths(buf, k, gen)
+    del buf, depths
+    # Per-row sum and maximum of the lower depths; the spare 0 closes
+    # the last row, and rows with K = 1 have none.
+    starts = np.cumsum(k) - k - np.arange(rows)
+    lower = np.append(lower, 0.0)
+    has_lower = k > 1
+    lower_sum = np.where(has_lower, np.add.reduceat(lower, starts), 0.0)
+    root = np.where(
+        has_lower, epsilon + np.maximum.reduceat(lower, starts), oldest_lag
+    )
+    final = (k - 1) * epsilon + lower_sum + root + lag_sum
+    return np.where(resolved > 0, final - initial, n * epsilon)
 
 
 def sample_stationary_length_increments(
@@ -313,8 +352,9 @@ def sample_stationary_length_increments(
       does).
 
     Cost: O(n_levels) numpy work per replicate and no per-replicate
-    Python. Replicates go through in row chunks of about 2^16 doubles per
-    matrix, so memory is O(reps) plus a fixed chunk.
+    Python. Replicates go through :func:`_increment_chunk` in row chunks
+    of about 2^16 doubles per matrix, so memory is O(reps) plus a fixed
+    chunk.
     """
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")
@@ -323,29 +363,9 @@ def sample_stationary_length_increments(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     n = n_levels
-    gen = stream.generator
     out = np.empty(reps)
     chunk = max(1, _CHUNK_DOUBLES // n)
     for lo in range(0, reps, chunk):
         rows = min(chunk, reps - lo)
-        lags = _merger_depths(gen, rows, n)
-        kept = lags <= epsilon
-        resolved = np.count_nonzero(kept, axis=1)
-        lag_sum = np.sum(lags, axis=1, where=kept)
-        oldest_lag = lags[np.arange(rows), resolved - 1]
-        depths = _merger_depths(gen, rows, n)
-        k = n - resolved
-        lower = _subsample_merger_depths(depths, k, gen)
-        # Per-row sum and maximum of the lower depths; the spare 0 closes
-        # the last row, and rows with K = 1 have none.
-        starts = np.cumsum(k) - k - np.arange(rows)
-        lower = np.append(lower, 0.0)
-        has_lower = k > 1
-        lower_sum = np.where(has_lower, np.add.reduceat(lower, starts), 0.0)
-        root = np.where(
-            has_lower, epsilon + np.maximum.reduceat(lower, starts), oldest_lag
-        )
-        final = (k - 1) * epsilon + lower_sum + root + lag_sum
-        initial = depths.sum(axis=1) + depths[:, -1]
-        out[lo:lo + rows] = np.where(resolved > 0, final - initial, n * epsilon)
+        out[lo:lo + rows] = _increment_chunk(stream.generator, rows, n, epsilon)
     return out

@@ -100,6 +100,24 @@ def test_simulate_path_output_bytes_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("argv,rc,digest", [
+    (["gumbel", "--reps", "2000"], 0,
+     "006caf35215c429ba414758a0161d90f8cd2609bc63d1caa37f106c8eb6cca7c"),
+    (["variance-scaling", "--n", "1000", "--reps", "100"], 1,
+     "7afad68239fb997a1201bc5a04aa7a8099380f75e28fa2494e050bcaf511f9f9"),
+    (["poisson-deaths", "--levels", "6", "--reps", "20"], 1,
+     "acf09e49c958b75daa268da3349516b197903c723bde42ad2789bc2128e8f9f9"),
+], ids=["gumbel", "variance-scaling", "poisson-deaths"])
+def test_report_output_bytes_are_pinned(tmp_path, argv, rc, digest):
+    # Digests of the reports written when the JSON text was built whole in
+    # memory, the increment sampler permuted a copy of the time-0 tree and
+    # poisson-deaths kept every sample's life lengths. At these sizes some
+    # statistical verdicts fail (exit 1); the bytes are what is pinned.
+    out = tmp_path / "report.json"
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == rc
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_path_multi_chunk_output_bytes_are_pinned(tmp_path):
     # About 2 * 10^4 jumps: the CSV and the polyline each span several
     # 8192-row chunks. Digests of the files written when the whole SVG
@@ -378,6 +396,47 @@ def test_svg_plots_only_finite_columns(tmp_path):
     with pytest.raises(UsageError):
         _write_report(report, values)
     assert not (tmp_path / "s.svg").exists()
+
+
+def _long_report(rows: int) -> ExperimentReport:
+    report = ExperimentReport("gumbel", {"reps": rows}, 1, "g", "v", "d")
+    values = np.random.default_rng(0).standard_normal(rows)
+    report.add_table("centered_lengths", ["centered_length"],
+                     [[float(v)] for v in values])
+    report.add_table("odd", ["a", "b"], [[math.nan, True], [-math.inf, "\u00e9"]])
+    report.add_verdict("ks_statistic_small", 0.01, 0.0, 0.02, "pass")
+    return report
+
+
+def test_write_json_writes_the_to_json_text(tmp_path):
+    # One serializer: the file, streamed in many batches, holds exactly
+    # to_json(), which is the indent-2 json.dumps text and a newline.
+    report = _long_report(3000)
+    out = tmp_path / "r.json"
+    with open(out, "w", encoding="utf-8") as fp:
+        report.write_json(fp)
+    text = out.read_text(encoding="utf-8")
+    assert text == report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert json.loads(text)["tables"][0]["rows"] == report.tables[0]["rows"]
+
+
+def test_write_json_memory_is_independent_of_the_report_size():
+    # A 10^4-row report is about 0.5 MB of text; joined whole, the text and
+    # its chunk list peak about 2.1 MB above the report itself.
+    report = _long_report(10_000)
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        report.write_json(Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1e6, f"peak {peak / 1e6:.3f} MB"
 
 
 def _svg(series, **labels) -> str:

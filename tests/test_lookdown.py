@@ -20,6 +20,7 @@ from kingman.lookdown import (
     GAMMA_TAIL_LEVEL,
     EventLog,
     LookdownState,
+    PointProcessSample,
     SequencingError,
     _assign_levels,
     decode_target,
@@ -444,6 +445,27 @@ def test_death_sample_empty_window():
         sample_infinite_deaths(1, (0.0, 1.0), stream, 1e-2)
     with pytest.raises(ValueError):
         sample_infinite_deaths(3, (0.0, 1.0), stream, 0.0)
+
+
+def test_death_sample_validation():
+    window = (0.0, 1.0)
+    kept = PointProcessSample(2, window, [0.5, 0.5, 1.0])
+    assert kept.life_lengths is None and kept.count == 3
+    lives = PointProcessSample(2, window, [0.5, 1.0], [0.25, 0.5]).life_lengths
+    assert lives.tolist() == [0.25, 0.5]
+    for deaths, message in [
+        ([0.0, 0.5], "lie in the window"),
+        ([0.5, 1.5], "lie in the window"),
+        ([math.nan], "lie in the window"),
+        ([0.7, 0.5], "sorted"),
+        ([0.5, math.nan, 0.7], "sorted"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PointProcessSample(2, window, deaths)
+    with pytest.raises(ValueError, match="align"):
+        PointProcessSample(2, window, [0.5], [0.1, 0.2])
+    with pytest.raises(ValueError, match="birth time"):
+        PointProcessSample(2, window, [0.5], [-1.0])
 
 
 def test_death_rate_equals_birth_rate():

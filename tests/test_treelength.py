@@ -1,6 +1,7 @@
 """Length-path tests: exact drift, jump anatomy, and the backward oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -431,8 +432,10 @@ def _literal_lower_steps(n, k, reps, stream):
 def _subsample_steps(n, k, gen):
     # The subsample's merger depths with depth i replaced by step id i; the
     # depths of a tree increase with the step, so the ids keep their order.
-    steps = np.broadcast_to(np.arange(n - 1, dtype=np.float64), (k.size, n - 1))
-    return _subsample_merger_depths(steps, k, gen)
+    # The rows go in a flat buffer with the sampler's spare closing slot.
+    buf = np.empty(k.size * (n - 1) + 1)
+    buf[:-1].reshape(k.size, n - 1)[:] = np.arange(n - 1, dtype=np.float64)
+    return _subsample_merger_depths(buf, k, gen)
 
 
 @pytest.mark.parametrize("k", [2, 5, 12])
@@ -461,6 +464,25 @@ def test_subsample_merger_depths_edges():
     assert sorted(groups[1]) == list(range(n - 1))
     for g in groups:
         assert np.unique(g).size == g.size and np.all((0 <= g) & (g < n - 1))
+
+
+def test_stationary_increments_peak_memory_in_chunk_matrices():
+    # Each chunk reduces its window lags to per-row values before it draws
+    # the time-0 tree, and permutes that tree in its own buffer: about 1.7
+    # chunk matrices at the peak, against about 4 when the dead lags and a
+    # permuted copy of the tree stayed alive beside it.
+    n, eps, reps = 1000, 0.01, 500
+    matrix = (_CHUNK_DOUBLES // n) * (n - 1) * 8
+    stream = make_stream(61, 5)
+    tracemalloc.start()
+    try:
+        out = sample_stationary_length_increments(n, eps, reps, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (reps,)
+    used = (peak - out.nbytes) / matrix
+    assert used <= 2.0, f"{used:.2f} chunk matrices"
 
 
 def test_stationary_increments_chunking():
