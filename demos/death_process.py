@@ -27,21 +27,22 @@ def replicate(level, rep):
 
 def main():
     span = WINDOW[1] - WINDOW[0]
+    # Each (level, rep) is drawn once; the shown levels and the correlated
+    # ones overlap.
+    levels = sorted(set(SHOW_LEVELS) | set(CORR_LEVELS))
+    samples = {level: [replicate(level, r) for r in range(REPS)] for level in levels}
     print(f"{REPS} windows of length {span} per level")
     print()
     print("  level  expected  mean    count z  dispersion  gap KS rej")
     for level in SHOW_LEVELS:
-        suite = stats.poisson_suite([replicate(level, r) for r in range(REPS)])
+        suite = stats.poisson_suite(samples[level])
         print(
             f"  {level:>5d}  {suite.expected_count:8.1f}  {suite.mean_count:6.2f}"
             f"  {suite.count_z:+7.2f}  {suite.dispersion_index:10.3f}"
             f"  {suite.gap_rejection_fraction:10.3f}"
         )
 
-    counts = np.empty((REPS, len(list(CORR_LEVELS))))
-    for j, level in enumerate(CORR_LEVELS):
-        for r in range(REPS):
-            counts[r, j] = len(replicate(level, r).death_times)
+    counts = np.array([[s.count for s in samples[level]] for level in CORR_LEVELS]).T
     indep = stats.independence_check(counts, list(CORR_LEVELS))
     print()
     print(f"levels {CORR_LEVELS.start}..{CORR_LEVELS.stop - 1}: "

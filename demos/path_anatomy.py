@@ -27,15 +27,14 @@ def main():
     print(f"ensemble of N={N} lines, window {WINDOW}, {log.n_events} events")
     print(f"initial length l(0) = {path.eval(np.array([0.0]))[0] :.6f}")
     print()
-    print(f"  {'time':>7s}  {'target':>6s}  {'jump':>9s}  {'exit age':>8s}  root fix")
-    for ev_time, tgt, size, age, root in zip(
-        log.times, log.targets, path.jump_sizes, path.exit_ages, path.root_flags,
+    # Without a root fix the jump is the exiting line's age; with one it
+    # also takes off the stem down to the next-oldest birth.
+    print(f"  {'time':>7s}  {'target':>6s}  {'jump':>9s}  root fix")
+    for ev_time, tgt, size, root in zip(
+        log.times, log.targets, path.jump_sizes, path.root_flags,
     ):
         mark = "yes" if root else ""
-        print(
-            f"  {ev_time:7.4f}  {tgt:>6d}  "
-            f"{-size:+9.4f}  {age:8.4f}  {mark}"
-        )
+        print(f"  {ev_time:7.4f}  {tgt:>6d}  {-size:+9.4f}  {mark}")
 
     # Between events the length grows at slope exactly N: every one of the
     # N lines ages at unit speed.

@@ -295,8 +295,8 @@ def _replayed_corners(n: int, window: tuple[float, float], stream) -> np.ndarray
     replayed on `window` from a stationary start: the start, each jump's
     left limit and landing value, and the end.
 
-    The event log goes once replayed, and the path, with its exit ages and
-    root flags (not drawn), before the corner matrix is built. The matrix
+    The event log goes once replayed, and the path, with its root flags
+    (not drawn), before the corner matrix is built. The matrix
     is built in place: the values column first holds v0, then per jump
     slope * (jump time - previous time) and -jump size, and one sequential
     cumsum in that order turns it into the running values.

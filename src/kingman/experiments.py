@@ -21,7 +21,6 @@ Experiment ordinals: 0 simulate-path (the CLI path writer), 1 mean-length,
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -355,16 +354,11 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _poisson_deaths_block(seed, rep_lo, size, max_level, window, tol) -> list:
-    # poisson_suite reads only the death times: each sample's life lengths,
-    # as many doubles again, are let go as soon as it is drawn.
     out = []
     for rep in range(rep_lo, rep_lo + size):
         stream = make_stream(seed, derive_stream_id(ORDINALS["poisson-deaths"], rep))
-        out.append([
-            replace(sample_infinite_deaths(level, window, stream, tol=tol),
-                    life_lengths=None)
-            for level in range(2, max_level + 1)
-        ])
+        out.append([sample_infinite_deaths(level, window, stream, tol=tol)
+                    for level in range(2, max_level + 1)])
     return out
 
 
@@ -708,19 +702,19 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
     if len(set(eps_list)) < len(eps_list):
         # A repeat would find the same streams and report the same draws twice.
         raise ValueError("epsilons must not repeat")
+    for eps in eps_list:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     if total < 2:
         raise ValueError("reps must be at least 2")
     report = _new_report("variance-scaling", params, seed)
     blocks = _split(total, params["block_reps"])
-    eps_index = {e: i for i, e in enumerate(eps_list)}
-
-    def sampler(eps: float, count: int) -> np.ndarray:
-        base = eps_index[eps] * len(blocks)
-        jobs = [(_variance_scaling_block, (seed, base + b, n, eps, size))
-                for b, (_, size) in enumerate(blocks)]
-        return np.concatenate(_map_blocks(jobs, workers))
-
-    rows = variance_scaling(eps_list, total, sampler)
+    # Epsilon i's blocks draw from streams i * len(blocks) + b and come back
+    # in that order, so row i of the reshaped draws holds its increments.
+    jobs = [(_variance_scaling_block, (seed, i * len(blocks) + b, n, eps, size))
+            for i, eps in enumerate(eps_list) for b, (_, size) in enumerate(blocks)]
+    increments = np.concatenate(_map_blocks(jobs, workers)).reshape(-1, total)
+    rows = variance_scaling(eps_list, increments)
     report.add_table(
         "scaling",
         ["epsilon", "ratio", "mean_square", "se_mean_square"],
@@ -761,9 +755,8 @@ def _crosscheck_exact(seed, n, win, queries, warmup) -> tuple[float, float]:
     drop = int(np.searchsorted(log.times, 0.5 * (t0 + t1), side="right")) - 1
     if drop < 0 or log.times[drop] <= t0:
         drop = log.n_events // 2
-    keep = np.ones(log.n_events, dtype=bool)
-    keep[drop] = False
-    damaged = EventLog(n, log.t_start, log.t_end, log.times[keep], log.targets[keep])
+    damaged = EventLog(n, log.t_start, log.t_end,
+                       np.delete(log.times, drop), np.delete(log.targets, drop))
     broken = build_path(start, damaged)
     # The control is also queried at the dropped event's own time, where the
     # damaged path misses the full jump; at the random query times the

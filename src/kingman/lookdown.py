@@ -60,7 +60,20 @@ __all__ = [
 
 
 class SequencingError(ValueError):
-    """An event was applied out of time order."""
+    """Event or jump times out of order, or outside their window."""
+
+
+def _check_times(times, start: float, end: float, what: str, window: str) -> None:
+    """Raise SequencingError unless `times` strictly increase inside (start, end].
+
+    No copies: a NaN fails the slice comparison, and times that increase lie
+    in the window if both ends do. The message names `what` and `window`.
+    """
+    if times.size:
+        if not np.all(times[1:] > times[:-1]):
+            raise SequencingError(f"{what} times must be strictly increasing")
+        if not (times[0] > start and times[-1] <= end):
+            raise SequencingError(f"{what} times must lie in {window}")
 
 
 def pair_count(n: int) -> int:
@@ -125,12 +138,7 @@ class EventLog:
         if self.t_start > self.t_end:
             raise ValueError("window start exceeds end")
         t = np.asarray(self.times, dtype=np.float64)
-        if t.size:
-            if not np.all(t[1:] > t[:-1]):
-                raise SequencingError("event times must be strictly increasing")
-            # Increasing, so the window holds every time if it holds both ends.
-            if not (t[0] > self.t_start and t[-1] <= self.t_end):
-                raise ValueError("event times must lie in (t_start, t_end]")
+        _check_times(t, self.t_start, self.t_end, "event", "(t_start, t_end]")
         k = np.asarray(self.targets, dtype=np.int64)
         if t.size != k.size:
             raise ValueError("times/targets lengths differ")
@@ -512,20 +520,18 @@ def default_burn_in(level: int) -> float:
 
 @dataclass(frozen=True)
 class PointProcessSample:
-    """Deaths of one level's lines inside a window, with their life lengths.
+    """Deaths of one level's lines inside a window.
 
-    death_times is sorted and lies in (window[0], window[1]]; life_lengths
-    aligns with it, or is None in a sample that keeps only its deaths.
-    Lines are born on (window[0] - burn_in, window[1]] at Poisson rate
-    (level - 1), with burn_in from :func:`default_burn_in`, and die a life
-    length later, so every death in the window is captured up to that
-    burn-in's miss probability.
+    death_times is sorted and lies in (window[0], window[1]]. Lines are
+    born on (window[0] - burn_in, window[1]] at Poisson rate (level - 1),
+    with burn_in from :func:`default_burn_in`, and die a life length later,
+    so every death in the window is captured up to that burn-in's miss
+    probability.
     """
 
     level: int
     window: tuple[float, float]
     death_times: np.ndarray
-    life_lengths: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         d = np.asarray(self.death_times, dtype=np.float64)
@@ -537,13 +543,6 @@ class PointProcessSample:
             if not (d[0] > s and d[-1] <= e):
                 raise ValueError("death times must lie in the window")
         object.__setattr__(self, "death_times", d)
-        if self.life_lengths is not None:
-            t = np.asarray(self.life_lengths, dtype=np.float64)
-            if d.shape != t.shape:
-                raise ValueError("death_times and life_lengths must align")
-            if np.any(d - t > e):
-                raise ValueError("a birth time exceeds the window end")
-            object.__setattr__(self, "life_lengths", t)
 
     @property
     def count(self) -> int:
@@ -571,15 +570,9 @@ def sample_infinite_deaths(
         raise ValueError("window start exceeds end")
     J = truncation_level_for(level, tol)
     start = s - default_burn_in(level)
-    births = sample_poisson_times(stream, float(level - 1), (start, t))
-    lives = sample_lifelengths(level, births.size, stream, J)
-    deaths = births + lives
-    keep = (deaths > s) & (deaths <= t)
-    deaths, lives = deaths[keep], lives[keep]
-    order = np.argsort(deaths, kind="stable")
-    return PointProcessSample(
-        level=level,
-        window=(s, t),
-        death_times=deaths[order],
-        life_lengths=lives[order],
-    )
+    # The birth times, turned into death times in place; the lives are let go.
+    deaths = sample_poisson_times(stream, float(level - 1), (start, t))
+    deaths += sample_lifelengths(level, deaths.size, stream, J)
+    deaths = deaths[(deaths > s) & (deaths <= t)]
+    deaths.sort()
+    return PointProcessSample(level=level, window=(s, t), death_times=deaths)

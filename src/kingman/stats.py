@@ -307,35 +307,23 @@ def fit_log_slope(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
 
 
 def variance_scaling(
-    epsilons: Sequence[float],
-    reps: int,
-    increment_sampler: Callable[[float, int], np.ndarray],
+    epsilons: Sequence[float], increments: Sequence[np.ndarray]
 ) -> list[tuple[float, float, float, float]]:
     """Mean-square increment ratio E[(path(t0+eps) - path(t0))^2] / (eps |ln eps|).
 
-    `increment_sampler(eps, reps)` returns `reps` independent stationary
-    increments of the compensated tree-length path over a window of length
-    eps (the caller binds the engine and its streams; tests may inject
-    synthetic paths such as pure drift, for which the ratio is exactly
-    N^2 eps / |ln eps|).
-
-    Returns rows (eps, ratio, mean_square, se_mean_square).
+    `increments[i]` holds at least two independent stationary increments of
+    the compensated tree-length path over a window of length epsilons[i],
+    which must lie in (0, 1). Returns rows (eps, ratio, mean_square,
+    se_mean_square).
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    eps_list = [float(eps) for eps in epsilons]
-    for eps in eps_list:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    if len(increments) != len(epsilons):
+        raise ValueError("need one increment array per epsilon")
     rows = []
-    for eps in eps_list:
-        inc = np.asarray(increment_sampler(eps, reps), dtype=np.float64)
-        if inc.shape != (reps,):
-            raise ValueError("increment sampler must return one increment per rep")
-        sq = inc**2
+    for eps, inc in zip(epsilons, increments):
+        sq = np.asarray(inc, dtype=np.float64) ** 2
+        if sq.size < 2:
+            raise ValueError("each epsilon needs at least two increments")
         mean_sq = float(sq.mean())
-        se = float(sq.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
-        denom = eps * abs(math.log(eps))
-        rows.append((eps, mean_sq / denom, mean_sq, se))
+        se = float(sq.std(ddof=1) / math.sqrt(sq.size))
+        rows.append((eps, mean_sq / (eps * abs(math.log(eps))), mean_sq, se))
     return rows
-

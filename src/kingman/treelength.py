@@ -34,6 +34,7 @@ from .lookdown import (
     EventLog,
     LookdownState,
     _block_shrinking_events,
+    _check_times,
     _merger_depths,
 )
 from .rng import RngStream
@@ -64,7 +65,8 @@ class TreeLengthPath:
     """Piecewise-linear cadlag path: slope N between sorted downward jumps.
 
     Values are defined on [t0, t1]; eval raises outside. A path replayed
-    by :func:`build_path` holds its log's read-only times as jump_times.
+    by :func:`build_path` holds its log's read-only times as jump_times;
+    root_flags marks the jumps whose exiting line was the oldest.
     """
 
     t0: float
@@ -73,27 +75,19 @@ class TreeLengthPath:
     slope: float
     jump_times: np.ndarray
     jump_sizes: np.ndarray
-    exit_ages: np.ndarray
     root_flags: np.ndarray
 
     def __post_init__(self) -> None:
         t = np.asarray(self.jump_times, dtype=np.float64)
         s = np.asarray(self.jump_sizes, dtype=np.float64)
-        a = np.asarray(self.exit_ages, dtype=np.float64)
         r = np.asarray(self.root_flags, dtype=bool)
-        if not (t.shape == s.shape == a.shape == r.shape):
+        if not (t.shape == s.shape == r.shape):
             raise ValueError("jump arrays must align")
         if self.t0 > self.t1:
             raise ValueError("t0 exceeds t1")
-        if t.size:
-            if not np.all(t[1:] > t[:-1]):
-                raise ValueError("jump times must be strictly increasing")
-            # Increasing, so the window holds every time if it holds both ends.
-            if not (t[0] > self.t0 and t[-1] <= self.t1):
-                raise ValueError("jump times must lie in (t0, t1]")
+        _check_times(t, self.t0, self.t1, "jump", "(t0, t1]")
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "jump_sizes", s)
-        object.__setattr__(self, "exit_ages", a)
         object.__setattr__(self, "root_flags", r)
 
     @property
@@ -140,6 +134,8 @@ def build_path(
     compensated=True the whole path is shifted down by 2 ln N, the leading
     term of the stationary mean, which leaves every increment unchanged.
     The path's jump_times is the log's times array itself, not a copy.
+    Each jump size is the exiting line's age plus its root-stem correction;
+    the ages are formed in the buffer that held the exiting births.
     """
     if initial_state.N != log.N:
         raise ValueError("state and log disagree on N")
@@ -151,8 +147,8 @@ def build_path(
     if compensated:
         v0 -= 2.0 * math.log(log.N)
     n = log.n_events
-    exited = np.empty(n)
-    sizes = np.zeros(n)  # root-stem corrections until the ages are added
+    exited = np.empty(n)  # exiting births, then the jump sizes
+    fixes = np.zeros(n)  # root-stem corrections
     flags = np.zeros(n, dtype=bool)
     births = list(initial_state.births)
     oldest = min(births)
@@ -169,11 +165,12 @@ def build_path(
                 # The inserted time never lowers the minimum: it is later
                 # than every birth in the list.
                 new_oldest = min(births)
-                sizes[idx] = new_oldest - oldest
+                fixes[idx] = new_oldest - oldest
                 flags[idx] = True
                 oldest = new_oldest
-    ages = np.subtract(log.times, exited, out=exited)
-    sizes += ages
+    sizes = np.subtract(log.times, exited, out=exited)
+    sizes += fixes
+    del fixes
     return TreeLengthPath(
         t0=log.t_start,
         t1=log.t_end,
@@ -181,7 +178,6 @@ def build_path(
         slope=float(log.N),
         jump_times=log.times,
         jump_sizes=sizes,
-        exit_ages=ages,
         root_flags=flags,
     )
 

@@ -14,7 +14,10 @@ those step sizes is not inside that band: it decays toward 4 only like
 window cancel out of the increment and the surviving terms
 (root-corrected exits of old lines) contribute an O(1) excess per unit
 of |ln eps|. Measured with 2 * 10^5 replicates per step size: 6.40 +/-
-0.08, 6.16 +/- 0.14, 5.71 +/- 0.17. An independent brute-force replay
+0.08, 6.16 +/- 0.14, 5.71 +/- 0.17 (Monte Carlo; the estimator is
+tail-heavy, so these standard errors run low). The exact ratios at
+n = 10^4, from numerical Laplace inversion (ROADMAP item 2), are 6.619,
+5.954 and 5.535. An independent brute-force replay
 (stationary start, full event log, no shared code with the estimator)
 agrees: ratio 6.63 +/- 0.94 at eps = 10^-1.5, two-sample KS p = 0.22 at
 eps = 10^-2.5. At the criterion's 10^4 replicates the estimator is
@@ -163,8 +166,9 @@ def test_criterion_6_infinitesimal_variance_scaling():
     ratio E[(delta l)^2]/(eps |ln eps|) within 35% of 4.
 
     Expected to FAIL, and shipped failing: the band [2.6, 5.4] excludes
-    the true finite-eps value at every step size (module docstring has
-    the measurements). The estimator is exact in
+    the true finite-eps value at every step size. The exact ratios are
+    6.619, 5.954 and 5.535 (ROADMAP item 2), beside the Monte Carlo
+    6.40, 6.16 and 5.71 in the module docstring. The estimator is exact in
     distribution against a literal replay of the particle system; the
     band is what is wrong at these step sizes, so the test records
     that rather than hiding it.

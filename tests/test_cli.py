@@ -100,21 +100,32 @@ def test_simulate_path_output_bytes_are_pinned(tmp_path):
     )
 
 
-@pytest.mark.parametrize("argv,rc,digest", [
-    (["gumbel", "--reps", "2000"], 0,
+@pytest.mark.parametrize("argv,seed,rc,digest", [
+    (["gumbel", "--reps", "2000"], 1, 0,
      "006caf35215c429ba414758a0161d90f8cd2609bc63d1caa37f106c8eb6cca7c"),
-    (["variance-scaling", "--n", "1000", "--reps", "100"], 1,
+    (["variance-scaling", "--n", "1000", "--reps", "100"], 1, 1,
      "7afad68239fb997a1201bc5a04aa7a8099380f75e28fa2494e050bcaf511f9f9"),
-    (["poisson-deaths", "--levels", "6", "--reps", "20"], 1,
+    (["poisson-deaths", "--levels", "6", "--reps", "20"], 1, 1,
      "acf09e49c958b75daa268da3349516b197903c723bde42ad2789bc2128e8f9f9"),
-], ids=["gumbel", "variance-scaling", "poisson-deaths"])
-def test_report_output_bytes_are_pinned(tmp_path, argv, rc, digest):
+    (["qv-scan", "--n", "200", "--n-grid", "50,100,200", "--reps", "3"], 1, 1,
+     "7527a9da5d883363ee78028c4b67625e77b2dc2f9312d0bff19892815d05d82b"),
+    (["crosscheck"], 1, 0,
+     "26550edc890452b1ba255cdb6d82a794277d63bbc617e62da7aecae6f0050100"),
+    (["crosscheck"], 2, 0,
+     "bd7b02fee1f67b02311afcfaa38cf769813a86c3c4c8fe1c49f3d6a2fc124ede"),
+    (["divergence", "--reps", "3"], 1, 0,
+     "bf502756972b0da23a199f56dc0d8a68e16d7d7bfeda6b7322d70512edb73309"),
+], ids=["gumbel", "variance-scaling", "poisson-deaths", "qv-scan",
+        "crosscheck-seed1", "crosscheck-seed2", "divergence"])
+def test_report_output_bytes_are_pinned(tmp_path, argv, seed, rc, digest):
     # Digests of the reports written when the JSON text was built whole in
-    # memory, the increment sampler permuted a copy of the time-0 tree and
-    # poisson-deaths kept every sample's life lengths. At these sizes some
-    # statistical verdicts fail (exit 1); the bytes are what is pinned.
+    # memory, the increment sampler permuted a copy of the time-0 tree,
+    # poisson-deaths kept every sample's life lengths, replayed paths kept
+    # their exit ages and crosscheck's negative control masked its log. At
+    # these sizes some statistical verdicts fail (exit 1); the bytes are
+    # what is pinned.
     out = tmp_path / "report.json"
-    assert main(argv + ["--seed", "1", "--out", str(out)]) == rc
+    assert main(argv + ["--seed", str(seed), "--out", str(out)]) == rc
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -12,12 +12,13 @@ import pytest
 from kingman import experiments as ex
 from kingman.lookdown import (
     GAMMA_TAIL_LEVEL,
-    sample_infinite_deaths,
+    default_burn_in,
+    sample_lifelengths,
     simulate_events,
     truncation_level_for,
 )
 from kingman.reports import ExperimentReport
-from kingman.rng import derive_stream_id, make_stream
+from kingman.rng import derive_stream_id, make_stream, sample_poisson_times
 from kingman.stats import fit_log_slope
 
 
@@ -149,16 +150,21 @@ def test_divergence_level_sums_match_literal_death_route(
     # The divergence loop (Poisson death count, Gamma-tailed lives) against
     # the literal route: births on a burn-in window, lives of 2000 exact
     # stages with the tail mean added (J = k + 2000; the dropped tail
-    # variance is below 1e-9), deaths in the window. The half in the
+    # variance is below 1e-9), deaths in the window: the draws
+    # sample_infinite_deaths makes, with the lives kept. The half in the
     # tolerance keeps ceil(2 / tol) off a float-rounding edge.
     draws = divergence_level_sums[k].size
     tol = 2.0 / (k + 1998.5)
-    assert truncation_level_for(k, tol) == k + 2000
+    J = truncation_level_for(k, tol)
+    assert J == k + 2000
     stream = make_stream(47, k)
     literal = np.empty(draws)
     for i in range(draws):
-        sample = sample_infinite_deaths(k, (0.0, 1.0), stream, tol)
-        literal[i] = sample.life_lengths @ sample.life_lengths
+        births = sample_poisson_times(stream, k - 1.0, (-default_burn_in(k), 1.0))
+        lives = sample_lifelengths(k, births.size, stream, J)
+        deaths = births + lives
+        lives = lives[(deaths > 0.0) & (deaths <= 1.0)]
+        literal[i] = lives @ lives
     assert_same_law(divergence_level_sums[k], literal)
 
 
@@ -272,6 +278,19 @@ def test_variance_scaling_validation():
     # A repeated epsilon would reuse one epsilon's streams for two rows.
     with pytest.raises(ValueError, match="repeat"):
         ex.run_variance_scaling(seed=0, epsilons=(0.01, 0.01, 0.02), n_levels=50, reps=20)
+
+
+def test_variance_scaling_checks_every_epsilon_before_any_job(monkeypatch):
+    calls = []
+
+    def block(*args):
+        calls.append(args)
+        return np.zeros(args[-1])
+
+    monkeypatch.setattr(ex, "_variance_scaling_block", block)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        ex.run_variance_scaling(seed=0, epsilons=(0.01, 2.0), n_levels=50, reps=10)
+    assert calls == []
 
 
 def test_crosscheck_default_run_passes():

@@ -135,15 +135,14 @@ def _log(N, start, end, times, targets):
 def _naive_replay(births, log):
     """Literal pop/insert replay: final births and per-event jump arrays."""
     births = [float(b) for b in births]
-    ages, sizes, flags = [], [], []
+    sizes, flags = [], []
     for t, k in zip(log.times.tolist(), log.targets.tolist()):
         old_min = min(births)
         exited = births.pop()
         births.insert(k - 2, t)
-        ages.append(t - exited)
         flags.append(exited <= old_min)
-        sizes.append(ages[-1] + (min(births) - old_min))
-    return births, np.array(ages), np.array(sizes), np.array(flags, dtype=bool)
+        sizes.append((t - exited) + (min(births) - old_min))
+    return births, np.array(sizes), np.array(flags, dtype=bool)
 
 
 def test_step_low_target_shifts_and_exits():
@@ -153,8 +152,8 @@ def test_step_low_target_shifts_and_exits():
     state = LookdownState(3, 0.5, [0.2, 0.5])
     log = _log(3, 0.5, 2.0, [1.0, 1.5], [2, 3])
     path = build_path(state, log)
-    assert path.exit_ages.tolist() == [1.0 - 0.5, 1.5 - 0.2]
     assert path.root_flags.tolist() == [False, True]
+    # Each jump is the exit age, plus the stem shortening at a root exit.
     assert path.jump_sizes.tolist() == [1.0 - 0.5, (1.5 - 0.2) + (1.0 - 0.2)]
     assert resolve_final_state(log, state.births).tolist() == [1.0, 1.5]
     # l(2) = 2 * 2 - (1.0 + 1.5) + (2 - 1.0)
@@ -165,7 +164,6 @@ def test_step_top_target_replaces_exiting_line():
     state = LookdownState(3, 0.5, [0.5, 0.2])
     log = _log(3, 0.5, 1.0, [1.0], [3])
     path = build_path(state, log)
-    assert path.exit_ages.tolist() == [1.0 - 0.2]
     assert path.root_flags.tolist() == [True]
     assert path.jump_sizes.tolist() == [(1.0 - 0.2) + (0.5 - 0.2)]
     assert resolve_final_state(log, state.births).tolist() == [0.5, 1.0]
@@ -189,8 +187,7 @@ def test_replay_sequence_tracks_births_and_min():
     # exits with a zero stem correction.
     log = _log(4, 0.0, 3.0, [1.0, 2.0, 3.0], [2, 4, 2])
     path = build_path(LookdownState.degenerate(4, 0.0), log)
-    assert path.exit_ages.tolist() == [1.0, 2.0, 1.0]
-    assert path.jump_sizes.tolist() == [1.0, 2.0, 1.0]
+    assert path.jump_sizes.tolist() == [1.0, 2.0, 1.0]  # the exit ages
     assert path.root_flags.tolist() == [True, True, False]
     assert resolve_final_state(log, [0.0] * 3).tolist() == [3.0, 1.0, 0.0]
     # l(3) = 3 * 3 - (3 + 1 + 0) + (3 - 0)
@@ -215,8 +212,7 @@ def test_replay_matches_naive_reference():
     log = simulate_events(8, (0.0, 4.0), stream)
     assert log.n_events > 60  # rate 28 over a span of 4
     path = build_path(LookdownState.degenerate(8, 0.0), log)
-    births, ages, sizes, flags = _naive_replay([0.0] * 7, log)
-    assert np.array_equal(path.exit_ages, ages)
+    births, sizes, flags = _naive_replay([0.0] * 7, log)
     assert np.array_equal(path.jump_sizes, sizes)
     assert np.array_equal(path.root_flags, flags)
     assert 0 < flags.sum() < log.n_events
@@ -233,7 +229,7 @@ def test_resolve_final_state_matches_forward_replay(window_end):
     stream = make_stream(29, round(window_end * 100))
     init = [-0.1, -0.5, -0.2, -0.9, -0.3]
     log = simulate_events(6, (0.0, window_end), stream)
-    forward, _, _, _ = _naive_replay(init, log)
+    forward, _, _ = _naive_replay(init, log)
     resolved = resolve_final_state(log, init)
     assert np.array_equal(resolved, np.array(forward))
 
@@ -421,12 +417,10 @@ def test_default_burn_in_values():
 def test_death_sample_structure():
     stream = make_stream(37, 0)
     sample = sample_infinite_deaths(5, (1.0, 4.0), stream, 1e-2)
-    d, lives = sample.death_times, sample.life_lengths
-    assert d.shape == lives.shape
+    d = sample.death_times
     assert np.all(d > 1.0) and np.all(d <= 4.0)
     assert np.all(np.diff(d) >= 0.0)
-    assert np.all(d - lives > 1.0 - default_burn_in(5))
-    assert sample.count == d.size
+    assert sample.count == d.size > 0
     # The draws are births on the window extended back by the default
     # burn-in, then lives truncated at J = truncation_level_for(level, tol).
     replay = make_stream(37, 0)
@@ -450,9 +444,7 @@ def test_death_sample_empty_window():
 def test_death_sample_validation():
     window = (0.0, 1.0)
     kept = PointProcessSample(2, window, [0.5, 0.5, 1.0])
-    assert kept.life_lengths is None and kept.count == 3
-    lives = PointProcessSample(2, window, [0.5, 1.0], [0.25, 0.5]).life_lengths
-    assert lives.tolist() == [0.25, 0.5]
+    assert kept.count == 3 and kept.death_times.dtype == np.float64
     for deaths, message in [
         ([0.0, 0.5], "lie in the window"),
         ([0.5, 1.5], "lie in the window"),
@@ -462,10 +454,6 @@ def test_death_sample_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             PointProcessSample(2, window, deaths)
-    with pytest.raises(ValueError, match="align"):
-        PointProcessSample(2, window, [0.5], [0.1, 0.2])
-    with pytest.raises(ValueError, match="birth time"):
-        PointProcessSample(2, window, [0.5], [-1.0])
 
 
 def test_death_rate_equals_birth_rate():

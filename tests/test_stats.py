@@ -98,7 +98,7 @@ def _linear_path(slope, t0=0.0, t1=4.0):
     none = np.empty(0)
     return TreeLengthPath(
         t0=t0, t1=t1, v0=slope * t0, slope=slope, jump_times=none,
-        jump_sizes=none, exit_ages=none, root_flags=np.empty(0, dtype=bool),
+        jump_sizes=none, root_flags=np.empty(0, dtype=bool),
     )
 
 
@@ -106,8 +106,7 @@ def _path_with_jumps(times, sizes):
     """A path of slope 3 on [0, 1] with the given jumps."""
     return TreeLengthPath(
         t0=0.0, t1=1.0, v0=4.0, slope=3.0, jump_times=np.array(times),
-        jump_sizes=np.array(sizes), exit_ages=np.array(sizes),
-        root_flags=np.zeros(len(times), dtype=bool),
+        jump_sizes=np.array(sizes), root_flags=np.zeros(len(times), dtype=bool),
     )
 
 
@@ -188,14 +187,7 @@ def _poisson_replicates(level, window, reps, stream):
     rate = float(level - 1)
     for _ in range(reps):
         times = sample_poisson_times(stream, rate, window)
-        out.append(
-            PointProcessSample(
-                level=level,
-                window=window,
-                death_times=times,
-                life_lengths=np.zeros_like(times),
-            )
-        )
+        out.append(PointProcessSample(level=level, window=window, death_times=times))
     return out
 
 
@@ -215,14 +207,7 @@ def test_poisson_suite_rejects_regular_process():
     samples = []
     for r in range(100):
         times = np.linspace(0.25, 5.75, 12) + 1e-4 * r
-        samples.append(
-            PointProcessSample(
-                level=3,
-                window=window,
-                death_times=times,
-                life_lengths=np.zeros_like(times),
-            )
-        )
+        samples.append(PointProcessSample(level=3, window=window, death_times=times))
     res = poisson_suite(samples)
     assert res.gap_rejection_fraction > 0.9
     assert res.dispersion_z < -5.0
@@ -280,26 +265,13 @@ def test_fit_log_slope_exact_recovery():
 
 def test_variance_scaling_with_pure_drift():
     n = 7
-    rows = variance_scaling(
-        [0.1, 0.01], 5, lambda eps, reps: np.full(reps, n * eps)
-    )
+    epsilons = [0.1, 0.01]
+    rows = variance_scaling(epsilons, [np.full(5, n * eps) for eps in epsilons])
     for eps, ratio, mean_sq, se in rows:
         assert mean_sq == pytest.approx((n * eps) ** 2, rel=1e-12)
         assert ratio == pytest.approx(n**2 * eps / abs(math.log(eps)), rel=1e-12)
         assert se == 0.0
-    with pytest.raises(ValueError):
-        variance_scaling([1.5], 5, lambda eps, reps: np.zeros(reps))
-    with pytest.raises(ValueError):
-        variance_scaling([0.1], 5, lambda eps, reps: np.zeros(reps + 1))
-
-
-def test_variance_scaling_checks_every_epsilon_before_sampling():
-    calls = []
-
-    def sampler(eps, reps):
-        calls.append(eps)
-        return np.zeros(reps)
-
-    with pytest.raises(ValueError):
-        variance_scaling([0.01, 2.0], 5, sampler)
-    assert calls == []
+    with pytest.raises(ValueError, match="one increment array per epsilon"):
+        variance_scaling([0.1, 0.01], [np.zeros(5)])
+    with pytest.raises(ValueError, match="at least two"):
+        variance_scaling([0.1], [np.zeros(1)])

@@ -10,6 +10,7 @@ import pytest
 from kingman.lookdown import (
     EventLog,
     LookdownState,
+    SequencingError,
     _assign_levels,
     decode_target,
     resolve_final_state,
@@ -67,8 +68,8 @@ def test_two_line_jump_law():
     assert log.n_events > 0
     path = build_path(LookdownState.degenerate(2, 0.0), log)
     assert bool(path.root_flags.all())
+    # The exit age and the stem shortening are both the last inter-event gap.
     gaps = np.diff(np.concatenate([[0.0], log.times]))
-    assert path.exit_ages == pytest.approx(gaps)
     assert path.jump_sizes == pytest.approx(2.0 * gaps)
 
 
@@ -92,8 +93,7 @@ def test_root_correction_anatomy():
     log = EventLog(3, 0.5, 1.2, np.array([1.0]), np.array([2]))
     path2 = build_path(state, log)
     assert path2.jump_times.tolist() == [1.0]
-    assert path2.jump_sizes[0] == pytest.approx(1.1)
-    assert path2.exit_ages[0] == pytest.approx(0.8)
+    assert path2.jump_sizes[0] == pytest.approx(0.8 + 0.3)
     assert path2.root_flags.tolist() == [True]
     assert path2.eval(1.0) == pytest.approx(1.0, abs=1e-12)
     assert path2.eval(0.999999) == pytest.approx(2.1, abs=1e-4)
@@ -130,7 +130,6 @@ def test_eval_domain_and_vectorization():
         slope=3.0,
         jump_times=np.array([1.0]),
         jump_sizes=np.array([0.5]),
-        exit_ages=np.array([0.5]),
         root_flags=np.array([False]),
     )
     vals = path.eval(np.array([0.0, 1.0, 2.0]))
@@ -145,13 +144,12 @@ def test_eval_domain_and_vectorization():
 def test_path_validation_messages():
     one = np.array([0.5])
     fields = dict(t0=0.0, t1=1.0, v0=0.0, slope=2.0, jump_sizes=one,
-                  exit_ages=one, root_flags=np.array([False]))
+                  root_flags=np.array([False]))
     with pytest.raises(ValueError, match="must align"):
         TreeLengthPath(**{**fields, "jump_times": np.array([0.2, 0.4])})
     with pytest.raises(ValueError, match="t0 exceeds t1"):
         TreeLengthPath(**{**fields, "t0": 2.0, "jump_times": one})
-    two = dict(fields, jump_sizes=np.ones(2), exit_ages=np.ones(2),
-               root_flags=np.zeros(2, dtype=bool))
+    two = dict(fields, jump_sizes=np.ones(2), root_flags=np.zeros(2, dtype=bool))
     for times in ([0.4, 0.4], [0.6, 0.3]):
         with pytest.raises(ValueError, match="strictly increasing"):
             TreeLengthPath(**{**two, "jump_times": np.array(times)})
@@ -159,6 +157,23 @@ def test_path_validation_messages():
         with pytest.raises(ValueError, match=r"must lie in \(t0, t1\]"):
             TreeLengthPath(**{**two, "jump_times": np.array(times)})
     TreeLengthPath(**{**two, "jump_times": np.array([0.5, 1.0])})
+
+
+@pytest.mark.parametrize("times,problem", [
+    ([0.4, 0.4], "must be strictly increasing"),
+    ([0.6, 0.3], "must be strictly increasing"),
+    ([0.5, math.nan], "must be strictly increasing"),
+    ([0.0, 0.5], "must lie in"),
+    ([0.5, 1.5], "must lie in"),
+    ([math.nan], "must lie in"),
+])
+def test_log_and_path_share_one_time_check(times, problem):
+    t = np.array(times)
+    with pytest.raises(SequencingError, match=r"event times " + problem):
+        EventLog(3, 0.0, 1.0, t, np.full(t.size, 2))
+    with pytest.raises(SequencingError, match=r"jump times " + problem):
+        TreeLengthPath(t0=0.0, t1=1.0, v0=0.0, slope=3.0, jump_times=t,
+                       jump_sizes=np.ones(t.size), root_flags=np.zeros(t.size, bool))
 
 
 def test_replayed_path_shares_the_logs_read_only_times():
