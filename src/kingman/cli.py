@@ -221,8 +221,7 @@ def _resolve_out(path: str) -> str:
 
 def _plot_series_from_report(report: ExperimentReport):
     """First table with two finite numeric columns and multiple rows, as a
-    series. Picked before the SVG file is opened, so emit_svg never
-    rejects it after the file exists."""
+    series, or None. emit_svg accepts every series this returns."""
     for t in report.tables:
         if t["name"] == "defaults" or len(t["rows"]) < 2:
             continue
@@ -242,6 +241,17 @@ def _plot_series_from_report(report: ExperimentReport):
 
 
 def _write_report(report: ExperimentReport, values: dict) -> list[str]:
+    picked = None
+    if values["svg"]:
+        if not values["out"]:
+            raise UsageError("--svg needs --out to name the file")
+        # Picked before any output file is opened, so a report with nothing
+        # to plot is a usage error that leaves no files.
+        picked = _plot_series_from_report(report)
+        if picked is None:
+            raise UsageError(
+                f"{report.experiment} has no multi-row numeric table to plot"
+            )
     written = []
     if values["out"]:
         out = _resolve_out(values["out"])
@@ -258,12 +268,7 @@ def _write_report(report: ExperimentReport, values: dict) -> list[str]:
                 with open(path, "w", encoding="utf-8") as fp:
                     report.write_table_csv(fp, t["name"])
                 written.append(path)
-        if values["svg"]:
-            picked = _plot_series_from_report(report)
-            if picked is None:
-                raise UsageError(
-                    f"{report.experiment} has no multi-row numeric table to plot"
-                )
+        if picked:
             table_name, series, x_label, y_label = picked
             svg_path = os.path.splitext(out)[0] + ".svg"
             with open(svg_path, "w", encoding="utf-8") as fp:
@@ -278,8 +283,6 @@ def _write_report(report: ExperimentReport, values: dict) -> list[str]:
                     ),
                 )
             written.append(svg_path)
-    elif values["svg"]:
-        raise UsageError("--svg needs --out to name the file")
     return written
 
 
@@ -290,48 +293,89 @@ def _meta_description(experiment: str, seed: int, params: dict) -> str:
     return " ".join(parts)
 
 
-def _replayed_corners(n: int, window: tuple[float, float], stream) -> np.ndarray:
-    """(time, value) rows of the corners of a compensated length path
-    replayed on `window` from a stationary start: the start, each jump's
-    left limit and landing value, and the end.
+# Jumps per corner chunk: 2048 rows, 32 KB of doubles and about 80 KB of
+# CSV text per write.
+_JUMP_BATCH = 1024
+
+
+class _PathCorners:
+    """The (time, value) corner rows of a compensated length path, made
+    chunk by chunk as they are read: the start, each jump's left limit and
+    landing value, and the end.
+
+    len() is the row count, 2 per jump plus 2. Iterating yields (k, 2)
+    float arrays: the start row, the jump rows of `jump_rows`, the end
+    row. It can be iterated again, and each pass makes the same doubles.
+    """
+
+    def __init__(self, start: tuple[float, float], end: tuple[float, float],
+                 slope: float, jump_times: np.ndarray, jump_sizes: np.ndarray):
+        self.start, self.end, self.slope = start, end, slope
+        self.jump_times, self.jump_sizes = jump_times, jump_sizes
+
+    def __len__(self) -> int:
+        return 2 * self.jump_times.size + 2
+
+    def __iter__(self):
+        yield np.array([self.start])
+        yield from self.jump_rows()
+        yield np.array([self.end])
+
+    def jump_rows(self):
+        """(2k, 2) chunks of the jump rows, left limit then landing value,
+        at most _JUMP_BATCH jumps each.
+
+        A chunk's values column first holds, per jump, slope * (jump time
+        - previous time) and -jump size; adding the value carried from the
+        row above to its first entry and one sequential cumsum turn it into
+        the running values. That is the one cumsum of [v0, gap, -size, ...]
+        over the whole path, cut into chunks, so the doubles are the same.
+        """
+        times, sizes = self.jump_times, self.jump_sizes
+        prev, value = self.start
+        for lo in range(0, times.size, _JUMP_BATCH):
+            jt = times[lo:lo + _JUMP_BATCH]
+            rows = np.empty((2 * jt.size, 2))
+            rows[::2, 0] = rows[1::2, 0] = jt
+            values, gaps = rows[:, 1], rows[::2, 1]
+            gaps[0] = jt[0] - prev
+            np.subtract(jt[1:], jt[:-1], out=gaps[1:])
+            gaps *= self.slope
+            np.negative(sizes[lo:lo + _JUMP_BATCH], out=rows[1::2, 1])
+            values[0] += value
+            np.cumsum(values, out=values)
+            prev, value = jt[-1], values[-1]
+            yield rows
+
+
+def _replayed_corners(n: int, window: tuple[float, float], stream) -> _PathCorners:
+    """The corner rows of a compensated length path replayed on `window`
+    from a stationary start.
 
     The event log goes once replayed, and the path, with its root flags
-    (not drawn), before the corner matrix is built. The matrix
-    is built in place: the values column first holds v0, then per jump
-    slope * (jump time - previous time) and -jump size, and one sequential
-    cumsum in that order turns it into the running values.
+    (not drawn), once its ends, slope, jump times and jump sizes are read;
+    no row is made until the corners are read.
     """
     state = sample_stationary_state(n, window[0], stream)
     path = build_path(state, simulate_events(n, window, stream), compensated=True)
-    start, end = (path.t0, path.v0), (path.t1, path.final_value)
-    slope, jump_times, jump_sizes = path.slope, path.jump_times, path.jump_sizes
-    del path
-    corners = np.empty((2 * jump_times.size + 2, 2))
-    times, values = corners[:, 0], corners[:-1, 1]
-    times[0], values[0] = start
-    times[1:-1:2] = times[2:-1:2] = jump_times
-    # Each left-limit row's time minus the time of the row above it, which
-    # is the previous jump's (or t0 for the first).
-    gaps = values[1::2]
-    np.subtract(times[1:-1:2], times[:-2:2], out=gaps)
-    gaps *= slope
-    np.negative(jump_sizes, out=values[2::2])
-    np.cumsum(values, out=values)
-    corners[-1] = end
-    return corners
+    return _PathCorners(
+        start=(float(path.t0), float(path.v0)),
+        end=(float(path.t1), float(path.final_value)),
+        slope=path.slope,
+        jump_times=path.jump_times,
+        jump_sizes=path.jump_sizes,
+    )
 
 
-def _write_path_csv(fp, corners: np.ndarray) -> None:
-    """The corners as "time,value" rows, 8192 rows per write.
+def _write_path_csv(fp, corners: _PathCorners) -> None:
+    """The corners as "time,value" rows, one write per chunk of jumps.
 
     repr is format_value's text for every double, nan and inf included.
     The two rows of a jump share its time, whose repr is taken once.
     """
-    (t0, v0), (t1, v1) = corners[0].tolist(), corners[-1].tolist()
+    (t0, v0), (t1, v1) = corners.start, corners.end
     fp.write(f"{t0!r},{v0!r}\n")
-    jumps = corners[1:-1]
-    for lo in range(0, len(jumps), 8192):
-        block = jumps[lo:lo + 8192]
+    for block in corners.jump_rows():
         fp.write("".join([
             f"{t},{left!r}\n{t},{landed!r}\n" for t, left, landed in zip(
                 map(repr, block[::2, 0].tolist()),
@@ -353,8 +397,8 @@ def _run_simulate_path(values: dict) -> int:
     if not values["out"]:
         raise UsageError("simulate-path requires --out")
     stream = make_stream(seed, derive_stream_id(ORDINALS["simulate-path"], 0))
-    points = _replayed_corners(n, (t0, t1), stream)
-    jumps = (len(points) - 2) // 2  # each event is one jump
+    corners = _replayed_corners(n, (t0, t1), stream)
+    jumps = corners.jump_times.size  # each event is one jump
 
     out = _resolve_out(values["out"])
     meta = {
@@ -370,14 +414,14 @@ def _run_simulate_path(values: dict) -> int:
     with open(out, "w", encoding="utf-8") as fp:
         write_header_comments(fp, meta)
         fp.write("time,length\n")
-        _write_path_csv(fp, points)
+        _write_path_csv(fp, corners)
     written = [out]
     if values["svg"]:
         svg_path = os.path.splitext(out)[0] + ".svg"
         with open(svg_path, "w", encoding="utf-8") as fp:
             emit_svg(
                 fp,
-                [("compensated length", points)],
+                [("compensated length", corners)],
                 title=f"compensated tree length, n={n}",
                 x_label="t",
                 y_label="length - 2 ln n",

@@ -29,8 +29,8 @@ _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 46.0
 
-# Polyline points scaled and formatted per chunk.
-_POINT_CHUNK = 8192
+# Polyline points scaled and formatted per fragment.
+_POINT_CHUNK = 2048
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -56,16 +56,28 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _coords(xs: np.ndarray, ys: np.ndarray, sx, sy):
+def _point_chunks(points):
+    """A series' points as a re-iterable of chunks: a list, tuple or array
+    of (x, y) pairs is one float array, any other source is its own
+    chunks."""
+    if isinstance(points, (list, tuple, np.ndarray)):
+        return (np.asarray(points, dtype=np.float64),)
+    return points
+
+
+def _coords(chunks, sx, sy):
     """Yield polyline "x,y" pairs in plot coordinates, separated by spaces,
-    as fragments of _POINT_CHUNK points, each scaled and formatted on its own."""
-    for lo in range(0, xs.size, _POINT_CHUNK):
-        if lo:
-            yield " "
-        chunk = slice(lo, lo + _POINT_CHUNK)
-        yield " ".join(map(
-            "{:.2f},{:.2f}".format, sx(xs[chunk]).tolist(), sy(ys[chunk]).tolist()
-        ))
+    as fragments of at most _POINT_CHUNK points, each scaled and formatted
+    on its own."""
+    sep = ""
+    for pts in chunks:
+        for lo in range(0, len(pts), _POINT_CHUNK):
+            xy = pts[lo:lo + _POINT_CHUNK]
+            yield sep
+            yield " ".join(map(
+                "{:.2f},{:.2f}".format, sx(xy[:, 0]).tolist(), sy(xy[:, 1]).tolist()
+            ))
+            sep = " "
 
 
 def _esc(text: str) -> str:
@@ -90,15 +102,17 @@ def emit_svg(
     """Write labeled (x, y) series to the text stream `fp` as a
     self-contained SVG document.
 
-    `series` is a list of (label, points) pairs, points an iterable of
-    (x, y) or an (n, 2) float array; arrays are mapped to plot coordinates
-    with numpy, by the same operations as single points. The document is
-    720 by 440 pixels.
+    `series` is a list of (label, points) pairs. points is a list or
+    (n, 2) float array of (x, y) pairs, or a chunk source: any other
+    re-iterable whose every pass yields the same (k, 2) float arrays,
+    which are read twice. Points are mapped to plot coordinates with
+    numpy, by the same operations one by one or in arrays. The document
+    is 720 by 440 pixels.
 
-    Every series is checked before the first write. The document is
-    written fragment by fragment as it is made, polyline points in chunks
-    of 8192 scaled and formatted on their own, so besides the input arrays
-    it holds one chunk's text, never the document.
+    A first pass checks every series and takes the bounds before the
+    first write. The second writes the document fragment by fragment as
+    it is made, polyline points at most 2048 at a time, so besides its
+    input it holds one fragment's text, never the document.
 
     Raises ValueError when no series or an empty series is supplied.
     """
@@ -106,20 +120,26 @@ def emit_svg(
     if not series:
         raise ValueError("need at least one series")
     cleaned = []
+    x_lo = y_lo = math.inf
+    x_hi = y_hi = -math.inf
     for label, points in series:
-        pts = np.asarray(points, dtype=np.float64)
-        if not pts.size:
+        chunks = _point_chunks(points)
+        count = 0
+        for pts in chunks:
+            if not pts.size:
+                continue
+            if pts.ndim != 2 or pts.shape[1] != 2:
+                raise ValueError(f"series {label!r} points are not (x, y) pairs")
+            if not np.isfinite(pts).all():
+                raise ValueError(f"series {label!r} has non-finite points")
+            lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+            x_lo, y_lo = min(x_lo, lo[0]), min(y_lo, lo[1])
+            x_hi, y_hi = max(x_hi, hi[0]), max(y_hi, hi[1])
+            count += len(pts)
+        if not count:
             raise ValueError(f"series {label!r} has no points")
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"series {label!r} points are not (x, y) pairs")
-        if not np.isfinite(pts).all():
-            raise ValueError(f"series {label!r} has non-finite points")
-        cleaned.append((str(label), pts))
+        cleaned.append((str(label), chunks))
 
-    x_lo = min(float(pts[:, 0].min()) for _, pts in cleaned)
-    x_hi = max(float(pts[:, 0].max()) for _, pts in cleaned)
-    y_lo = min(float(pts[:, 1].min()) for _, pts in cleaned)
-    y_hi = max(float(pts[:, 1].max()) for _, pts in cleaned)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -211,10 +231,10 @@ def emit_svg(
             f"{_esc(y_label)}</text>"
         )
 
-    for idx, (label, pts) in enumerate(cleaned):
+    for idx, (label, chunks) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         fp.write('<polyline points="')
-        fp.writelines(_coords(pts[:, 0], pts[:, 1], sx, sy))
+        fp.writelines(_coords(chunks, sx, sy))
         put(f'" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
     legend_x = _MARGIN_LEFT + plot_w - 150.0

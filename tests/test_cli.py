@@ -12,7 +12,8 @@ import pytest
 
 from kingman import experiments
 from kingman.cli import (
-    _FLAGS, UsageError, _replayed_corners, _write_report, main, read_config_file,
+    _FLAGS, UsageError, _replayed_corners, _write_path_csv, _write_report, main,
+    read_config_file,
 )
 from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
 from kingman.reports import ExperimentReport
@@ -148,9 +149,10 @@ def test_simulate_path_multi_chunk_output_bytes_are_pinned(tmp_path):
 
 def test_simulate_path_peak_memory_per_event(tmp_path):
     # Seed 1 on [0, 5] at n = 200: 99,928 jumps. The path shares the log's
-    # times, forms no stored cumulative sizes, and its exit ages and root
-    # flags are gone before the (2 jumps + 2, 2) corner matrix is built:
-    # about 51 bytes per event, against about 77 before those changes.
+    # times, forms no stored cumulative sizes, its root flags are gone
+    # before any corner row is made, and the rows are made chunk by chunk:
+    # about 42 bytes per event, against 51 with a whole corner matrix and
+    # about 77 before that.
     out = tmp_path / "path.csv"
     args = ["simulate-path", "--n", "200", "--t1", "5", "--seed", "1", "--out", str(out)]
     tracemalloc.start()
@@ -164,6 +166,28 @@ def test_simulate_path_peak_memory_per_event(tmp_path):
     events = (corners - 2) // 2
     assert events == 99_928
     assert peak <= 60 * events, f"{peak / events:.1f} bytes per event"
+
+
+def test_simulate_path_writers_hold_no_corner_matrix(tmp_path):
+    # The writers read the corners chunk by chunk from the replayed path's
+    # jump times and sizes (16 bytes per event, 1.6 MB here). A whole
+    # (2 jumps + 2, 2) corner matrix would be 3.2 MB on top of them.
+    stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
+    tracemalloc.start()
+    try:
+        corners = _replayed_corners(200, (0.0, 5.0), stream)
+        tracemalloc.reset_peak()
+        with open(tmp_path / "path.csv", "w", encoding="utf-8") as fp:
+            _write_path_csv(fp, corners)
+        with open(tmp_path / "path.svg", "w", encoding="utf-8") as fp:
+            emit_svg(fp, [("compensated length", corners)], title="t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    events = (len(corners) - 2) // 2
+    assert events == 99_928
+    above = peak - 16 * events
+    assert above <= 1e6, f"{above / 1e6:.2f} MB above the path"
 
 
 def test_simulate_path_requires_out():
@@ -389,11 +413,14 @@ def test_experiment_svg_output_is_deterministic(tmp_path):
 
 
 def test_svg_needs_a_plottable_table(tmp_path):
-    out = tmp_path / "ml.json"
-    rc = main([
-        "mean-length", "--reps", "150", "--out", str(out), "--svg",
-    ])
-    assert rc == 2
+    # The series is picked before any output file is opened, so the usage
+    # error leaves no files.
+    for argv in (["mean-length", "--reps", "150"],
+                 ["gumbel", "--n", "10", "--reps", "20"],
+                 ["crosscheck", "--n", "10"]):
+        out = tmp_path / argv[0] / "report.json"
+        assert main(argv + ["--out", str(out), "--svg"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_svg_plots_only_finite_columns(tmp_path):
@@ -497,8 +524,9 @@ def test_emit_svg_step_mode_bytes_are_pinned():
 def test_emit_svg_streams_in_memory_independent_of_the_point_count(tmp_path):
     # simulate-path's default path (n = 200 on [0, 5]): about 2 * 10^5
     # corners, a 2.8 MB document. Streamed to a file, emit_svg holds one
-    # 8192-point chunk's text (about 1 MB peak); a document built in
-    # memory and then written needs twice its length (5.3 MB).
+    # corner chunk and the text of one fragment of at most 2048 points;
+    # a document built in memory and then written needs twice its length
+    # (5.3 MB).
     stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
     corners = _replayed_corners(200, (0.0, 5.0), stream)
     sink = tmp_path / "path.svg"

@@ -119,5 +119,8 @@ def test_tracer_counts_the_work_of_every_subcommand(tmp_path):
             assert events > 0
             assert totals["treelength.build_path", "events"] == events
             assert totals["rng.sample_poisson_times", "arrivals"] == events
+            # The SVG's one series is the corner source: two rows per jump,
+            # the start and the end.
+            assert totals["svg.emit_svg", "points"] == 2 * events + 2
     # Each counter counted some work, on the layer it belongs to.
     assert counted == _COUNTED_BY

@@ -42,6 +42,18 @@ def test_tree_length_hand_value():
     assert tree_length(LookdownState.degenerate(9, 4.0).births, 4.0) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 100, 1000])
+def test_tree_length_reads_arrays_and_lists_alike(n):
+    # The same doubles as fsum and min over the array's numpy scalars.
+    births = np.array(sample_stationary_state(n, 0.0, make_stream(17, n)).births)
+    t = 0.75
+    scalar_route = len(births) * t - math.fsum(births) + (t - min(births))
+    from_array = tree_length(births, t)
+    from_list = tree_length(births.tolist(), t)
+    assert type(from_array) is float and type(from_list) is float
+    assert from_array.hex() == from_list.hex() == float(scalar_route).hex()
+
+
 def test_path_matches_replayed_state_everywhere():
     # At each query time t, resolve the births at t backward from the log's
     # events up to t and compute the length from them directly.
