@@ -31,12 +31,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .experiments import DEFAULTS, EXPERIMENTS, ORDINALS
-from .lookdown import sample_stationary_state, simulate_events
+from .experiments import DEFAULTS, EXPERIMENTS, ORDINALS, _resolve, _stream, _window
 from .reports import ExperimentReport, format_value, write_header_comments
-from .rng import GENERATOR_ID, derive_stream_id, make_stream
+from .rng import GENERATOR_ID
 from .svg import emit_svg
-from .treelength import build_path
+from .treelength import stationary_path
 
 __all__ = ["main", "read_config_file"]
 
@@ -270,27 +269,24 @@ def _write_report(report: ExperimentReport, values: dict) -> list[str]:
                 written.append(path)
         if picked:
             table_name, series, x_label, y_label = picked
-            svg_path = os.path.splitext(out)[0] + ".svg"
-            with open(svg_path, "w", encoding="utf-8") as fp:
-                emit_svg(
-                    fp,
-                    series,
-                    title=f"{report.experiment}: {table_name}",
-                    x_label=x_label,
-                    y_label=y_label,
-                    description=_meta_description(
-                        report.experiment, report.seed, report.params
-                    ),
-                )
-            written.append(svg_path)
+            written.append(_write_svg(
+                out, series, f"{report.experiment}: {table_name}", x_label, y_label,
+                report.experiment, report.seed, report.params,
+            ))
     return written
 
 
-def _meta_description(experiment: str, seed: int, params: dict) -> str:
+def _write_svg(out: str, series, title: str, x_label: str, y_label: str,
+               experiment: str, seed: int, params: dict) -> str:
+    """Plot `series` into out's stem plus ".svg", described by the run's
+    experiment, seed, version and sorted params; return the SVG's path."""
     parts = [f"experiment={experiment}", f"seed={seed}", f"version={__version__}"]
-    for key in sorted(params):
-        parts.append(f"param.{key}={format_value(params[key])}")
-    return " ".join(parts)
+    parts += [f"param.{key}={format_value(params[key])}" for key in sorted(params)]
+    svg_path = os.path.splitext(out)[0] + ".svg"
+    with open(svg_path, "w", encoding="utf-8") as fp:
+        emit_svg(fp, series, title=title, x_label=x_label, y_label=y_label,
+                 description=" ".join(parts))
+    return svg_path
 
 
 # Jumps per corner chunk: 2048 rows, 32 KB of doubles and about 80 KB of
@@ -349,15 +345,13 @@ class _PathCorners:
 
 
 def _replayed_corners(n: int, window: tuple[float, float], stream) -> _PathCorners:
-    """The corner rows of a compensated length path replayed on `window`
-    from a stationary start.
+    """The corner rows of :func:`~kingman.treelength.stationary_path`.
 
-    The event log goes once replayed, and the path, with its root flags
-    (not drawn), once its ends, slope, jump times and jump sizes are read;
-    no row is made until the corners are read.
+    The path, with its root flags (not drawn), goes once its ends, slope,
+    jump times and jump sizes are read; no row is made until the corners
+    are read.
     """
-    state = sample_stationary_state(n, window[0], stream)
-    path = build_path(state, simulate_events(n, window, stream), compensated=True)
+    path = stationary_path(n, window, stream)
     return _PathCorners(
         start=(float(path.t0), float(path.v0)),
         end=(float(path.t1), float(path.final_value)),
@@ -386,18 +380,15 @@ def _write_path_csv(fp, corners: _PathCorners) -> None:
 
 
 def _run_simulate_path(values: dict) -> int:
-    params = {**DEFAULTS["simulate-path"], **_params("simulate-path", values)}
+    params = _resolve("simulate-path", _params("simulate-path", values))
     n = params["n_leaves"]
-    t0, t1 = params["window"]
     seed = values["seed"]
     if n < 2:
         raise UsageError("--n must be at least 2")
-    if not t1 > t0:
-        raise UsageError("--t1 must exceed --t0")
+    t0, t1 = _window(params)
     if not values["out"]:
         raise UsageError("simulate-path requires --out")
-    stream = make_stream(seed, derive_stream_id(ORDINALS["simulate-path"], 0))
-    corners = _replayed_corners(n, (t0, t1), stream)
+    corners = _replayed_corners(n, (t0, t1), _stream(seed, "simulate-path", 0))
     jumps = corners.jump_times.size  # each event is one jump
 
     out = _resolve_out(values["out"])
@@ -417,19 +408,10 @@ def _run_simulate_path(values: dict) -> int:
         _write_path_csv(fp, corners)
     written = [out]
     if values["svg"]:
-        svg_path = os.path.splitext(out)[0] + ".svg"
-        with open(svg_path, "w", encoding="utf-8") as fp:
-            emit_svg(
-                fp,
-                [("compensated length", corners)],
-                title=f"compensated tree length, n={n}",
-                x_label="t",
-                y_label="length - 2 ln n",
-                description=_meta_description(
-                    "simulate-path", seed, {"n": n, "t0": t0, "t1": t1}
-                ),
-            )
-        written.append(svg_path)
+        written.append(_write_svg(
+            out, [("compensated length", corners)], f"compensated tree length, n={n}",
+            "t", "length - 2 ln n", "simulate-path", seed, {"n": n, "t0": t0, "t1": t1},
+        ))
     print(f"simulate-path: n={n} window=({format_value(t0)}, {format_value(t1)}) "
           f"events={jumps} jumps={jumps}")
     for path_name in written:

@@ -36,6 +36,8 @@ from .lookdown import (
     _block_shrinking_events,
     _check_times,
     _merger_depths,
+    sample_stationary_state,
+    simulate_events,
 )
 from .rng import RngStream
 
@@ -46,6 +48,7 @@ __all__ = [
     "reconstruct_length_backward",
     "sample_static_kingman_length",
     "sample_stationary_length_increments",
+    "stationary_path",
     "tree_length",
 ]
 
@@ -186,6 +189,14 @@ def build_path(
         jump_sizes=sizes,
         root_flags=flags,
     )
+
+
+def stationary_path(n: int, window: tuple[float, float], stream: RngStream) -> TreeLengthPath:
+    """The compensated length path of n levels on `window`, started from
+    stationarity. The one draw order: the stationary state at the window's
+    start, then the window's events."""
+    state = sample_stationary_state(n, window[0], stream)
+    return build_path(state, simulate_events(n, window, stream), compensated=True)
 
 
 def reconstruct_length_backward(log: EventLog, t: float) -> float:

@@ -131,9 +131,9 @@ def test_report_output_bytes_are_pinned(tmp_path, argv, seed, rc, digest):
 
 
 def test_simulate_path_multi_chunk_output_bytes_are_pinned(tmp_path):
-    # About 2 * 10^4 jumps: the CSV and the polyline each span several
-    # 8192-row chunks. Digests of the files written when the whole SVG
-    # document was built in memory before being written.
+    # About 2 * 10^4 jumps: the CSV spans several chunks of 1024 jumps and
+    # the polyline several of 2048 points. Digests of the files written
+    # when the whole SVG document was built in memory before being written.
     out = tmp_path / "path.csv"
     assert main([
         "simulate-path", "--n", "200", "--t1", "1",
@@ -188,6 +188,17 @@ def test_simulate_path_writers_hold_no_corner_matrix(tmp_path):
     assert events == 99_928
     above = peak - 16 * events
     assert above <= 1e6, f"{above / 1e6:.2f} MB above the path"
+
+
+@pytest.mark.parametrize("end", ["--t1=inf", "--t0=-inf"])
+@pytest.mark.parametrize("name", [
+    "qv-scan", "poisson-deaths", "divergence", "crosscheck", "simulate-path",
+])
+def test_infinite_window_is_a_usage_error(tmp_path, capsys, name, end):
+    out = tmp_path / "out.json"
+    assert main([name, end, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: window endpoints must be finite\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_path_requires_out():

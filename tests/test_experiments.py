@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ def test_crosscheck_negative_control_detected_at_seed_2():
     assert report.verdict("negative_control_detected").status == "pass"
     assert report.table("exact")["rows"][0][3] > 1e-6
     _assert_verdicts_reference_cells(report)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_crosscheck_negative_control_is_finite_at_two_levels(seed):
+    # At n = 2 the true length at the dropped event's own time is exactly
+    # 0, so that gap is read against the damaged path's value.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ex.run_crosscheck(seed=seed, n_leaves=2)
+    neg = report.table("exact")["rows"][0][3]
+    assert math.isfinite(neg) and neg >= 1.0
+    assert report.verdict("negative_control_detected").status == "pass"
 
 
 def test_crosscheck_validation():

@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 from scipy import stats as scipy_stats
 
-from kingman.experiments import _qv_path
+from kingman.experiments import _stream
 from kingman.lookdown import PointProcessSample
 from kingman.rng import make_stream, sample_poisson_times
 from kingman.stats import (
@@ -24,7 +24,7 @@ from kingman.stats import (
     qv_mesh_scan,
     variance_scaling,
 )
-from kingman.treelength import TreeLengthPath
+from kingman.treelength import TreeLengthPath, stationary_path
 
 EXP_CDF = lambda v: 1.0 - np.exp(-np.asarray(v))  # noqa: E731
 
@@ -118,7 +118,7 @@ def _qv_by_eval(path, points):
 @functools.lru_cache(maxsize=None)
 def _replayed_path(n):
     """qv-scan's compensated path on [0, 1] at n levels (its detail stream)."""
-    return _qv_path(1, 0, n, (0.0, 1.0))
+    return stationary_path(n, (0.0, 1.0), _stream(1, "qv-scan", 0))
 
 
 def test_quadratic_variation_of_linear_path_vanishes_dyadically():

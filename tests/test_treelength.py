@@ -29,6 +29,7 @@ from kingman.treelength import (
     reconstruct_length_backward,
     sample_static_kingman_length,
     sample_stationary_length_increments,
+    stationary_path,
     tree_length,
 )
 
@@ -227,6 +228,21 @@ def test_eval_matches_stored_cumsum_bit_for_bit(n, window, compensated):
     for t in (times[0], mids[len(mids) // 2], times[-1], path.t1):
         assert path.eval(float(t)) == float(_stored_cumsum_eval(path, float(t)))
     assert path.final_value == float(_stored_cumsum_eval(path, path.t1))
+
+
+@pytest.mark.parametrize("n, window, seed", [(30, (0.0, 5.0), 7), (200, (0.0, 1.0), 1)])
+def test_stationary_path_is_the_explicit_route(n, window, seed):
+    # The stationary start first, then the window's events, then the
+    # compensated replay: the same doubles, and each stream left at the
+    # same place.
+    ours, theirs = make_stream(seed, 0), make_stream(seed, 0)
+    path = stationary_path(n, window, ours)
+    state = sample_stationary_state(n, window[0], theirs)
+    want = build_path(state, simulate_events(n, window, theirs), compensated=True)
+    assert path.v0 == want.v0 and path.n_jumps == want.n_jumps > 0
+    for name in ("jump_times", "jump_sizes", "root_flags"):
+        assert getattr(path, name).tobytes() == getattr(want, name).tobytes()
+    assert ours.generator.random() == theirs.generator.random()
 
 
 def test_backward_reconstruction_matches_path():
