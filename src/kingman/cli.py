@@ -98,7 +98,8 @@ _COMMON = {
     "out": (str, None, "output path"),
     "svg": (_parse_bool, False, "also write an SVG plot"),
     "format": (_parse_format, "json", "report format, csv or json (default json)"),
-    "workers": (int, 1, "worker process count (default 1)"),
+    "workers": (int, None, "worker process count (default: every usable CPU "
+                "for poisson-deaths and divergence, 1 for the others)"),
 }
 
 
@@ -188,7 +189,8 @@ def build_config(argv: list[str]) -> tuple[str, dict]:
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise UsageError(f"bad config value for {key}: {text!r}") from exc
     values.update((k, v) for k, v in vars(ns).items() if k in options and v is not None)
-    if values.get("workers", 1) < 1:
+    workers = values.get("workers")
+    if workers is not None and workers < 1:
         raise UsageError("workers must be at least 1")
     return name, values
 

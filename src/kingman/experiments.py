@@ -6,13 +6,20 @@ the versioned defaults carried inside the report. Every verdict's observed
 value is literally one of the table cells, so a report is self-contained.
 
 Randomness is organized so results do not depend on the worker count: work
-is cut into fixed-size blocks, each block (or each replicate) owns the
-stream :func:`_stream` derives from (experiment ordinal, counter), and
-partial results are merged in block order. A block is a job, an (fn, args)
-pair of a module-level function and its positional arguments;
-:func:`_map_blocks` calls fn(*args) for each, serially or in worker
-processes, and returns the results in job order. Workers only change wall
-time.
+is cut into blocks, each block (or each replicate) owns the stream
+:func:`_stream` derives from (experiment ordinal, counter), and partial
+results are merged in block order. A block is a job, an (fn, args) pair of
+a module-level function and its positional arguments; :func:`_map_blocks`
+calls fn(*args) for each, serially or in worker processes, and returns the
+results in job order. Workers only change wall time.
+
+mean-length, gumbel, variance-scaling and crosscheck draw one stream per
+fixed-size block, and qv-scan runs one job per system size; they default
+to one worker. poisson-deaths and divergence draw one stream per
+replicate, so any cut of their replicates gives the same draws: by
+default they run on every CPU the process may use, in jobs of at most
+ceil(reps / workers) replicates (:func:`_replicate_jobs`), merged back in
+replicate order.
 
 Experiment ordinals: 0 simulate-path (the CLI path writer), 1 mean-length,
 2 gumbel, 3 poisson-deaths, 4 divergence, 5 qv-scan, 6 variance-scaling,
@@ -24,6 +31,7 @@ and its path from :func:`~kingman.treelength.stationary_path`, as qv-scan does.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -243,6 +251,34 @@ def _split(total: int, block: int) -> list[tuple[int, int]]:
     return [(lo, min(block, total - lo)) for lo in range(0, total, block)]
 
 
+# Runners whose every replicate owns its stream. At their stock sizes a
+# process pool costs the other runners more than it saves them.
+_PER_REPLICATE = ("poisson-deaths", "divergence")
+
+
+def _workers(name: str, workers: int | None) -> int:
+    """The worker count of runner `name`: `workers` when given, else every
+    CPU the process may use for a per-replicate runner and 1 for the rest."""
+    if workers is not None:
+        return int(workers)
+    if name not in _PER_REPLICATE:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _replicate_jobs(fn, seed: int, total: int, block_reps: int, workers: int,
+                    *args) -> list:
+    """Jobs fn(seed, rep_lo, size, *args) over replicates 0..total-1, of at
+    most block_reps and at most ceil(total / workers) replicates each, so
+    every worker gets one. fn draws replicate r from its own stream, so the
+    cut changes no draw."""
+    size = min(int(block_reps), math.ceil(total / max(1, workers)))
+    return [(fn, (seed, lo, n, *args)) for lo, n in _split(total, size)]
+
+
 def _band_status(observed: float, target: float, tol: float) -> str:
     return "pass" if abs(observed - target) <= tol else "fail"
 
@@ -276,7 +312,8 @@ def _static_lengths(seed, name, counter, n, size) -> np.ndarray:
 
 
 def run_mean_length(seed: int = 0, n_leaves: int | None = None,
-                    reps: int | None = None, workers: int = 1) -> ExperimentReport:
+                    reps: int | None = None,
+                    workers: int | None = None) -> ExperimentReport:
     """Mean static tree length vs its exact harmonic-sum expectation.
 
     The verdict is inconclusive, rather than pass or fail, when the two
@@ -293,7 +330,7 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
     report = _new_report("mean-length", params, seed)
     jobs = [(_static_lengths, (seed, "mean-length", i, n, size))
             for i, (_, size) in enumerate(_split(total, params["block_reps"]))]
-    lengths = np.concatenate(_map_blocks(jobs, workers))
+    lengths = np.concatenate(_map_blocks(jobs, _workers("mean-length", workers)))
     mean = float(lengths.mean())
     se = math.sqrt(float(lengths.var(ddof=1)) / total)
     expected = 2.0 * math.fsum(1.0 / k for k in range(1, n))
@@ -319,7 +356,8 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
 # ---------------------------------------------------------------------------
 
 def run_gumbel(seed: int = 0, n_leaves: int | None = None,
-               reps: int | None = None, workers: int = 1) -> ExperimentReport:
+               reps: int | None = None,
+               workers: int | None = None) -> ExperimentReport:
     """KS test of length/2 - ln(n_leaves) against the standard Gumbel CDF.
 
     Below asymptotic_min_leaves the limit has not set in; the verdicts are
@@ -335,7 +373,8 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
     report = _new_report("gumbel", params, seed)
     jobs = [(_static_lengths, (seed, "gumbel", i, n, size))
             for i, (_, size) in enumerate(_split(total, params["block_reps"]))]
-    centered = 0.5 * np.concatenate(_map_blocks(jobs, workers)) - math.log(n)
+    lengths = np.concatenate(_map_blocks(jobs, _workers("gumbel", workers)))
+    centered = 0.5 * lengths - math.log(n)
     res = ks_test(centered, gumbel_cdf)
     report.add_table(
         "summary",
@@ -378,7 +417,8 @@ def _poisson_deaths_block(seed, rep_lo, size, max_level, window, tol) -> list:
 
 def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
                        window: tuple[float, float] | None = None,
-                       reps: int | None = None, workers: int = 1) -> ExperimentReport:
+                       reps: int | None = None,
+                       workers: int | None = None) -> ExperimentReport:
     """Poissonity and independence checks for level death processes.
 
     For each level 2..max_level, replicated death samples are tested for
@@ -399,8 +439,9 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
     win = _window(params)
     report = _new_report("poisson-deaths", params, seed)
     tol = float(params["truncation_tol"])
-    jobs = [(_poisson_deaths_block, (seed, lo, size, top, win, tol))
-            for lo, size in _split(total, params["block_reps"])]
+    workers = _workers("poisson-deaths", workers)
+    jobs = _replicate_jobs(_poisson_deaths_block, seed, total, params["block_reps"],
+                           workers, top, win, tol)
     by_rep = [rep for block in _map_blocks(jobs, workers) for rep in block]
     levels = list(range(2, top + 1))
     alpha = float(params["alpha"])
@@ -494,7 +535,8 @@ def _divergence_block(seed, rep_lo, size, k_grid, window) -> np.ndarray:
 
 def run_divergence(seed: int = 0, k_grid=None,
                    window: tuple[float, float] | None = None,
-                   reps: int | None = None, workers: int = 1) -> ExperimentReport:
+                   reps: int | None = None,
+                   workers: int | None = None) -> ExperimentReport:
     """Growth of S(K), the squared life lengths summed over levels up to K.
 
     The mean of S(K) grows like (4 window-length) ln K, so the OLS slope of
@@ -518,8 +560,9 @@ def run_divergence(seed: int = 0, k_grid=None,
     if total < 2:
         raise ValueError("reps must be at least 2")
     report = _new_report("divergence", params, seed)
-    jobs = [(_divergence_block, (seed, lo, size, tuple(grid), win))
-            for lo, size in _split(total, params["block_reps"])]
+    workers = _workers("divergence", workers)
+    jobs = _replicate_jobs(_divergence_block, seed, total, params["block_reps"],
+                           workers, tuple(grid), win)
     matrix = np.vstack(_map_blocks(jobs, workers))
     mean_s = matrix.mean(axis=0)
     se_s = matrix.std(axis=0, ddof=1) / math.sqrt(total)
@@ -593,7 +636,8 @@ def _qv_grid(seed, n, win, reps, counter_base, mesh_level) -> np.ndarray:
 def run_qv_scan(seed: int = 0, n_grid=None,
                 window: tuple[float, float] | None = None,
                 mesh_levels=None, reps: int | None = None,
-                detail_n: int | None = None, workers: int = 1) -> ExperimentReport:
+                detail_n: int | None = None,
+                workers: int | None = None) -> ExperimentReport:
     """Quadratic variation of compensated length paths.
 
     Detail part: one path at detail_n is scanned across dyadic meshes; at
@@ -635,7 +679,8 @@ def run_qv_scan(seed: int = 0, n_grid=None,
     jobs = [(_qv_detail, (seed, nd, win, tuple(levels)))]
     jobs += [(_qv_grid, (seed, n, win, total, 1 + i * total, mesh))
              for i, (n, mesh) in enumerate(zip(grid, grid_meshes))]
-    (mesh_rows, jump_sq, n_jumps), *grid_qvs = _map_blocks(jobs, workers)
+    results = _map_blocks(jobs, _workers("qv-scan", workers))
+    (mesh_rows, jump_sq, n_jumps), *grid_qvs = results
     finest_qv = float(mesh_rows[-1][1])
     rel_gap = abs(finest_qv - jump_sq) / jump_sq
     report.add_table(
@@ -687,7 +732,7 @@ def _variance_scaling_block(seed, counter, n_levels, eps, size) -> np.ndarray:
 
 def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
                          epsilons=None, reps: int | None = None,
-                         workers: int = 1) -> ExperimentReport:
+                         workers: int | None = None) -> ExperimentReport:
     """Mean-square stationary increment over eps |ln eps|, per epsilon.
 
     The ratio tends to 4 as eps shrinks (at large n_levels). Below
@@ -718,7 +763,8 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
     # in that order, so row i of the reshaped draws holds its increments.
     jobs = [(_variance_scaling_block, (seed, i * len(blocks) + b, n, eps, size))
             for i, eps in enumerate(eps_list) for b, (_, size) in enumerate(blocks)]
-    increments = np.concatenate(_map_blocks(jobs, workers)).reshape(-1, total)
+    blocks_out = _map_blocks(jobs, _workers("variance-scaling", workers))
+    increments = np.concatenate(blocks_out).reshape(-1, total)
     rows = variance_scaling(eps_list, increments)
     report.add_table(
         "scaling",
@@ -789,7 +835,7 @@ def _crosscheck_evolved(seed, counter, n, win, size) -> np.ndarray:
 
 def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
                    window: tuple[float, float] | None = None,
-                   workers: int = 1) -> ExperimentReport:
+                   workers: int | None = None) -> ExperimentReport:
     """Two independent validations of the evolving length engine.
 
     Exact arm (n_leaves <= 200): a path built from a degenerate start far
@@ -815,7 +861,7 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
              for c, size in enumerate(sizes, start=1)]
     jobs += [(_static_lengths, (seed, "crosscheck", c, nd, size))
              for c, size in enumerate(sizes, start=1 + len(sizes))]
-    (max_rel, neg), *dist = _map_blocks(jobs, workers)
+    (max_rel, neg), *dist = _map_blocks(jobs, _workers("crosscheck", workers))
     evolved = np.concatenate(dist[:len(sizes)])
     static = np.concatenate(dist[len(sizes):])
     res = ks_test_two_sample(evolved, static)

@@ -114,7 +114,9 @@ def sample_poisson_times(
 
     Returns a strictly increasing float64 array within (a, b]. In the
     (measure-zero, float-rounding) case of a repeated time, the later time is
-    perturbed upward by one ulp and a warning is logged.
+    moved up to the next double above its predecessor and a warning is
+    logged; a ValueError is raised if that pushes a time past b, where the
+    window's doubles are too coarse for the rate.
     """
     a, b = float(window[0]), float(window[1])
     if rate <= 0.0 or not math.isfinite(rate):
@@ -145,22 +147,48 @@ def sample_poisson_times(
     times += a
     times = times[:np.searchsorted(times, b, "right")]
 
-    # Enforce strict increase. Ties can arise only through float rounding,
-    # so the loop below runs on (almost always zero) offending indices,
-    # found by comparing neighbours without copying the arrivals.
-    ties = 0
-    while times.size:
-        bad = np.flatnonzero(times[1:] <= times[:-1]) + 1
-        if times[0] <= a:
-            bad = np.insert(bad, 0, 0)
-        if bad.size == 0:
-            break
-        for idx in bad:
-            floor = times[idx - 1] if idx > 0 else a
-            if times[idx] <= floor:
-                times[idx] = np.nextafter(floor, math.inf)
-                ties += 1
-    if ties:
+    # Enforce strict increase. Ties arise only through float rounding, so
+    # the neighbour comparison, which copies no arrival, almost always
+    # finds none and the repair never runs.
+    if times.size and (times[0] <= a or np.any(times[1:] <= times[:-1])):
+        ties = _repair_ties(times, a, b)
         logger.warning("perturbed %d tied Poisson arrival times by one ulp", ties)
-        times = times[times <= b]
     return times
+
+
+def _order_keys(x: np.ndarray) -> np.ndarray:
+    """int64 keys that order finite doubles as their values do, one apart
+    per ulp: a double's bits when non-negative, -2**63 - bits when negative
+    (so -0.0 and 0.0 share the key 0)."""
+    keys = x.view(np.int64).copy()
+    negative = keys < 0
+    keys[negative] = np.int64(-2**63) - keys[negative]
+    return keys
+
+
+def _repair_ties(times: np.ndarray, a: float, b: float) -> int:
+    """Lift each time, in place, to max(itself, the next double above its
+    repaired predecessor), a preceding the first; return how many moved.
+
+    In :func:`_order_keys` that is key'_i = max(key_i, key'_{i-1} + 1), so
+    key'_i - i is the running maximum of key_i - i: one pass, however long
+    a run of ties is. A moved key that is not positive is the image of a
+    negative double (0 comes after -5e-324 as -0.0, as np.nextafter has it).
+    Raises ValueError, moving nothing, if the last time would pass b.
+    """
+    keys = _order_keys(np.concatenate(([a], times)))
+    steps = np.arange(keys.size, dtype=np.int64)
+    lifted = np.maximum.accumulate(keys - steps)
+    lifted += steps
+    past = int(np.count_nonzero(lifted > _order_keys(np.array([b]))[0]))
+    if past:
+        raise ValueError(
+            f"the doubles of window ({a!r}, {b!r}] are too coarse to separate "
+            f"tied Poisson arrivals: {past} repaired times would pass its end"
+        )
+    moved = np.flatnonzero(lifted != keys)
+    new = lifted[moved]
+    negative = new <= 0
+    new[negative] = np.int64(-2**63) - new[negative]
+    times[moved - 1] = new.view(np.float64)
+    return moved.size

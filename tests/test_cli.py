@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,21 @@ def test_infinite_window_is_a_usage_error(tmp_path, capsys, name, end):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_window_too_coarse_for_its_events_is_a_usage_error(tmp_path, capsys):
+    # Near 1e12 a double's spacing (1.2e-4) is above the mean gap between
+    # events at n = 200 (5e-5): the window's doubles cannot hold them apart.
+    out = tmp_path / "path.csv"
+    start = time.perf_counter()
+    assert main(["simulate-path", "--n", "200", "--t0", "1e12",
+                 "--t1", "1000000000005", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err.startswith(
+        "error: the doubles of window (1000000000000.0, 1000000000005.0] "
+        "are too coarse to separate tied Poisson arrivals"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_path_requires_out():
     assert main(["simulate-path", "--n", "10"]) == 2
 
@@ -261,6 +277,18 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert payload["seed"] == 4            # flag beats config
     assert payload["params"]["reps"] == 300  # config beats default
     assert payload["params"]["n_leaves"] == 25
+
+
+def test_zero_workers_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    def no_jobs(jobs, workers):
+        raise AssertionError("a job list was run")
+
+    monkeypatch.setattr(experiments, "_map_blocks", no_jobs)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 0\n")
+    for argv in (["divergence", "--workers", "0"], ["gumbel", "--config", str(cfg)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
 
 
 @pytest.mark.parametrize("argv", [

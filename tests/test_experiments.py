@@ -350,6 +350,82 @@ def test_worker_count_invariance_with_streamed_blocks():
     assert one.to_json() == two.to_json()
 
 
+@pytest.mark.parametrize("runner, kwargs", [
+    (ex.run_poisson_deaths, dict(seed=4, max_level=5, window=(0.0, 3.0), reps=7)),
+    # reps 4: one job at 1 worker, two of two replicates at 2 and at 3.
+    (ex.run_divergence, dict(seed=4, k_grid=(2, 4, 8, 200), reps=4)),
+    (ex.run_divergence, dict(seed=4, k_grid=(2, 4, 8, 200), reps=5)),
+], ids=["poisson-deaths", "divergence-4", "divergence-5"])
+def test_per_replicate_runners_are_byte_identical_at_any_worker_count(runner, kwargs):
+    # These runners cut their replicates by the worker count.
+    texts = {workers: runner(workers=workers, **kwargs).to_json()
+             for workers in (1, 2, 3, None)}
+    assert len(set(texts.values())) == 1
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Make ProcessPoolExecutor run each job at submission, so that no real
+    process starts, and return the worker counts asked for and the job
+    functions submitted."""
+    record = {"asked": [], "submitted": []}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            record["asked"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            record["submitted"].append(fn)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return record
+
+
+def test_divergence_cuts_its_replicates_by_the_worker_count(inline_pool):
+    ex.run_divergence(seed=1, k_grid=(2, 4, 8, 200), reps=4, workers=2)
+    assert inline_pool == {"asked": [2], "submitted": [ex._divergence_block] * 2}
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("poisson-deaths", 3), ("divergence", 3), ("mean-length", 1), ("gumbel", 1),
+    ("qv-scan", 1), ("variance-scaling", 1), ("crosscheck", 1),
+])
+def test_default_worker_count(monkeypatch, name, expected):
+    # Per-replicate runners use every CPU the process may run on, the rest
+    # run inline; the job list is read and the run stopped there.
+    asked = []
+
+    def first_jobs(jobs, workers):
+        asked.append(workers)
+        raise _Stop
+
+    monkeypatch.setattr(ex, "_map_blocks", first_jobs)
+    monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    with pytest.raises(_Stop):
+        ex.EXPERIMENTS[name](seed=0)
+    assert asked[0] == expected
+    if expected > 1:
+        monkeypatch.delattr(ex.os, "sched_getaffinity")
+        monkeypatch.setattr(ex.os, "cpu_count", lambda: 5)
+        with pytest.raises(_Stop):
+            ex.EXPERIMENTS[name](seed=0)
+        assert asked[1] == 5
+
+
 def _failing_job():
     raise ValueError("the first job fails")
 
@@ -370,28 +446,9 @@ def test_parallel_jobs_stop_at_the_first_failure(tmp_path):
     assert len(list(tmp_path.iterdir())) < 20
 
 
-def test_parallel_jobs_fork_no_more_workers_than_jobs(monkeypatch):
-    # Runs the jobs inline: no real process may start here.
-    asked = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+def test_parallel_jobs_fork_no_more_workers_than_jobs(inline_pool):
     assert ex._map_blocks([(pow, (2, i)) for i in range(3)], 1000) == [1, 2, 4]
-    assert asked == [3]
+    assert inline_pool["asked"] == [3]
 
 
 def test_report_json_is_valid_and_complete():

@@ -67,12 +67,15 @@ def test_environment_probe_finds_the_kernel_flag():
 
 
 # Every subcommand at a tiny size, and the work counts its spans must carry.
+# The tracer records spans only in its own process, so the runners that
+# default to a worker per CPU are held to one.
 _TRACED_RUNS = [
     (["simulate-path", "--n", "10", "--t1", "1", "--svg"], "path.csv"),
     (["mean-length", "--n", "10", "--reps", "20"], "report.json"),
     (["gumbel", "--n", "10", "--reps", "20"], "report.json"),
-    (["poisson-deaths", "--levels", "4", "--reps", "4"], "report.json"),
-    (["divergence", "--k-grid", "2,4,8,200", "--reps", "2"], "report.json"),
+    (["poisson-deaths", "--levels", "4", "--reps", "4", "--workers", "1"], "report.json"),
+    (["divergence", "--k-grid", "2,4,8,200", "--reps", "2", "--workers", "1"],
+     "report.json"),
     (["qv-scan", "--n", "20", "--n-grid", "10,20", "--reps", "2"], "report.json"),
     (["variance-scaling", "--n", "20", "--reps", "4"], "report.json"),
     (["crosscheck", "--n", "10"], "report.json"),

@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kingman.rng import (
     GENERATOR_ID,
+    _order_keys,
+    _repair_ties,
     derive_stream_id,
     make_stream,
     mix64,
@@ -106,8 +110,9 @@ def test_poisson_times_strictly_increasing_in_window():
 def test_poisson_times_perturbs_tied_arrivals(monkeypatch, caplog):
     # Every third gap is 0.5 and the rest are exactly zero, so the arrivals
     # tie with the window start and with each other: 1, 1, 1.5, 1.5, 1.5,
-    # 2, ... Of the 14 arrivals up to 3, 10 repeat their predecessor (or
-    # the start) and move one ulp above it; the two pushed past 3 go.
+    # 2, ... Of the 11 arrivals up to 2.75, 8 repeat their predecessor (or
+    # the start) and move one ulp above it. Up to 3, two of the times moved
+    # would pass 3: that window cannot hold them, which is an error.
     stream = make_stream(3, 5)
 
     def tied_gaps(rate, size):
@@ -117,19 +122,76 @@ def test_poisson_times_perturbs_tied_arrivals(monkeypatch, caplog):
 
     monkeypatch.setattr(stream, "exponentials", tied_gaps)
     with caplog.at_level(logging.WARNING, logger="kingman.rng"):
-        t = sample_poisson_times(stream, 1.0, (1.0, 3.0))
-    assert np.all(t[1:] > t[:-1]) and t[0] > 1.0 and t[-1] <= 3.0
+        t = sample_poisson_times(stream, 1.0, (1.0, 2.75))
+    assert np.all(t[1:] > t[:-1]) and t[0] > 1.0 and t[-1] <= 2.75
 
     def up(x):
         return float(np.nextafter(x, math.inf))
 
     assert t.tolist() == [
         up(1.0), up(up(1.0)), 1.5, up(1.5), up(up(1.5)),
-        2.0, up(2.0), up(up(2.0)), 2.5, up(2.5), up(up(2.5)), 3.0,
+        2.0, up(2.0), up(up(2.0)), 2.5, up(2.5), up(up(2.5)),
     ]
     assert [r.getMessage() for r in caplog.records] == [
-        "perturbed 10 tied Poisson arrival times by one ulp"
+        "perturbed 8 tied Poisson arrival times by one ulp"
     ]
+    with pytest.raises(ValueError, match="2 repaired times would pass its end"):
+        sample_poisson_times(stream, 1.0, (1.0, 3.0))
+
+
+def _loop_repair(times, a):
+    """The repair sample_poisson_times made before the one-pass form: pass
+    after pass, each time not above its predecessor (or a) moves one ulp
+    above it, until none is left."""
+    times = times.copy()
+    while times.size:
+        bad = np.flatnonzero(times[1:] <= times[:-1]) + 1
+        if times[0] <= a:
+            bad = np.insert(bad, 0, 0)
+        if bad.size == 0:
+            break
+        for idx in bad:
+            floor = times[idx - 1] if idx > 0 else a
+            if times[idx] <= floor:
+                times[idx] = np.nextafter(floor, math.inf)
+    return times
+
+
+def _from_keys(keys):
+    """Doubles from the int64 order keys of rng._order_keys (0 is +0.0)."""
+    bits = np.where(keys >= 0, keys, np.int64(-2**63) - np.minimum(keys, 0))
+    return bits.view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(
+        st.sampled_from([1e12, -1e12, 1e9, 0.0, -0.0, -1e-300, -5e-324, 1.0]),
+        st.floats(min_value=-1e300, max_value=1e300),
+    ),
+    offset=st.integers(0, 2),
+    steps=st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, 1000]), min_size=1, max_size=300),
+    slack=st.sampled_from([-1, 0, 1, 3]),
+)
+def test_one_pass_tie_repair_matches_the_loop(a, offset, steps, slack):
+    # Non-decreasing times from a, with runs of ties and of neighbouring
+    # doubles, built one ulp step at a time.
+    times = _from_keys(_order_keys(np.array([a]))[0] + offset + np.cumsum(steps))
+    expected = _loop_repair(times, a)
+    # A window end a few ulps either side of the loop's last time, never
+    # below the last arrival.
+    b = float(_from_keys(_order_keys(expected[-1:]) + slack)[0])
+    b = max(b, float(times[-1]))
+    repaired = times.copy()
+    if expected[-1] > b:
+        with pytest.raises(ValueError, match="too coarse"):
+            _repair_ties(repaired, a, b)
+        assert repaired.tobytes() == times.tobytes()
+    else:
+        moved = _repair_ties(repaired, a, b)
+        assert repaired.tobytes() == expected.tobytes()
+        changed = expected.view(np.int64) != times.view(np.int64)
+        assert moved == int(np.count_nonzero(changed))
 
 
 def test_poisson_times_peak_memory_is_near_the_output():
