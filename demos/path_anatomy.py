@@ -20,9 +20,9 @@ SEED = 11
 
 def main():
     stream = make_stream(SEED, 0)
-    state = lookdown.sample_stationary_state(N, WINDOW[0], stream)
+    start = lookdown.stationary_births(N, WINDOW[0], stream)
     log = lookdown.simulate_events(N, WINDOW, stream)
-    path = treelength.build_path(state, log)
+    path = treelength.build_path(start, log)
 
     print(f"ensemble of N={N} lines, window {WINDOW}, {log.n_events} events")
     print(f"initial length l(0) = {path.eval(np.array([0.0]))[0] :.6f}")
@@ -55,7 +55,7 @@ def main():
     # The same quantity from an independent route: the births at the end of
     # the window resolved backward from the event log, with no forward
     # replay at all.
-    births = lookdown.resolve_final_state(log, state.births)
+    births = lookdown.resolve_final_state(log, start)
     replayed = treelength.tree_length(births, WINDOW[1])
     print(f"replayed length  {replayed:.6f}")
 

@@ -39,7 +39,6 @@ from . import __version__
 from .lookdown import (
     GAMMA_TAIL_LEVEL,
     EventLog,
-    LookdownState,
     life_moments,
     life_skewness,
     pair_count,
@@ -789,7 +788,7 @@ def _crosscheck_exact(seed, n, win, queries, warmup) -> tuple[float, float]:
     t0, t1 = win
     stream = _stream(seed, "crosscheck", 0)
     log = simulate_events(n, (t0 - warmup, t1), stream)
-    start = LookdownState.degenerate(n, t0 - warmup)
+    start = np.full(n - 1, t0 - warmup)
     qs = t0 + (t1 - t0) * stream.generator.random(queries)
     # The replayed path is read at the queries and dropped, so it is gone
     # before the damaged log and its path are built.

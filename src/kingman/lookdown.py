@@ -6,10 +6,11 @@ are pushed up one, and the line formerly at level N exits. Level 1 is
 immortal and holds no birth time, so the finite-N state is the list of
 birth times of the lines at levels 2..N, and an :class:`EventLog` keeps
 each event's time and target only (the source never moves a birth time).
-:class:`LookdownState` holds that list at a window start;
+A replay start is that list, as an array, at the log's window start:
 :func:`~kingman.treelength.build_path` replays a log forward from it, and
 :func:`resolve_final_state` computes the final list backward from the log
-alone, by the level assignment :func:`stationary_births` also uses.
+alone, by the level assignment :func:`stationary_births` also uses. Both
+routes check the start through :func:`_check_start`.
 Coalescent merger depths (cumulative sums of Exp(1)/C(m,2)) have one draw,
 :func:`_merger_depths`, shared by :func:`stationary_births` and the
 stationary-increment sampler in :mod:`kingman.treelength`.
@@ -40,7 +41,6 @@ from .rng import RngStream, sample_poisson_times
 __all__ = [
     "EventLog",
     "GAMMA_TAIL_LEVEL",
-    "LookdownState",
     "PointProcessSample",
     "SequencingError",
     "decode_target",
@@ -52,7 +52,6 @@ __all__ = [
     "sample_infinite_deaths",
     "sample_lifelengths",
     "sample_lifelengths_gamma_tail",
-    "sample_stationary_state",
     "simulate_events",
     "stationary_births",
     "truncation_level_for",
@@ -74,6 +73,22 @@ def _check_times(times, start: float, end: float, what: str, window: str) -> Non
             raise SequencingError(f"{what} times must be strictly increasing")
         if not (times[0] > start and times[-1] <= end):
             raise SequencingError(f"{what} times must lie in {window}")
+
+
+def _check_start(births, log: EventLog) -> np.ndarray:
+    """The births of levels 2..N at log.t_start as a float64 array, checked.
+
+    The one check of a replay start, for the forward and backward routes:
+    N - 1 births, none after the window start (a NaN fails the comparison).
+    """
+    start = np.asarray(births, dtype=np.float64)
+    if start.shape != (log.N - 1,):
+        raise ValueError(f"need {log.N - 1} birth times for levels 2..{log.N}")
+    if not np.all(start <= log.t_start):
+        raise ValueError(
+            f"birth times must not exceed the window start {log.t_start}"
+        )
+    return start
 
 
 def pair_count(n: int) -> int:
@@ -179,35 +194,6 @@ def simulate_events(
 # Finite-N state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LookdownState:
-    """Birth times of the lines at levels 2..N at time `now`: a replay start.
-
-    Immutable; :func:`~kingman.treelength.build_path` replays a log from it
-    on a private copy of the births.
-    """
-
-    N: int
-    now: float
-    births: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
-        births = tuple(float(x) for x in self.births)
-        if len(births) != self.N - 1:
-            raise ValueError(f"need {self.N - 1} birth times for levels 2..{self.N}")
-        if any(x > self.now for x in births):
-            raise ValueError("birth times cannot exceed the current time")
-        object.__setattr__(self, "now", float(self.now))
-        object.__setattr__(self, "births", births)
-
-    @classmethod
-    def degenerate(cls, N: int, t0: float) -> "LookdownState":
-        """All lines born at t0. Use as a pre-window replay start only."""
-        return cls(N, t0, [t0] * (N - 1))
-
-
 def _assign_levels(N: int, targets, times, rest=()) -> np.ndarray:
     """Births of levels 2..N from (target, time) pairs, walked last to first.
 
@@ -268,9 +254,10 @@ def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
     return _assign_levels(N, targets[::-1], (t0 - depths)[::-1])
 
 
-def sample_stationary_state(N: int, t0: float, stream: RngStream) -> "LookdownState":
-    """Draw the stationary state at t0 (see :func:`stationary_births`)."""
-    return LookdownState(N, t0, stationary_births(N, t0, stream))
+def sample_stationary_state(N: int, t0: float, stream: RngStream) -> np.ndarray:
+    """Stub kept for the benchmark's tracer, which looks this name up; no
+    program path calls it. Returns :func:`stationary_births`."""
+    return stationary_births(N, t0, stream)
 
 
 def _block_shrinking_events(targets: np.ndarray, stop: int, N: int) -> np.ndarray:
@@ -330,9 +317,7 @@ def resolve_final_state(log: EventLog, initial_births) -> np.ndarray:
     the at most N - 1 shrinking events then fills one level through
     :func:`_assign_levels`, the assignment :func:`stationary_births` uses.
     """
-    initial = np.asarray(initial_births, dtype=np.float64)
-    if initial.shape != (log.N - 1,):
-        raise ValueError(f"need {log.N - 1} initial birth times")
+    initial = _check_start(initial_births, log)
     hits = _block_shrinking_events(log.targets, log.n_events, log.N)[::-1]
     return _assign_levels(log.N, log.targets[hits], log.times[hits], initial.tolist())
 

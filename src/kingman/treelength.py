@@ -32,12 +32,12 @@ import numpy as np
 
 from .lookdown import (
     EventLog,
-    LookdownState,
     _block_shrinking_events,
+    _check_start,
     _check_times,
     _merger_depths,
-    sample_stationary_state,
     simulate_events,
+    stationary_births,
 )
 from .rng import RngStream
 
@@ -130,12 +130,13 @@ class TreeLengthPath:
 _REPLAY_SLICE = 8192
 
 
-def build_path(
-    initial_state: LookdownState, log: EventLog, compensated: bool = False
-) -> TreeLengthPath:
-    """Replay a log from a state and record the exact length path.
+def build_path(initial_births, log: EventLog, compensated: bool = False) -> TreeLengthPath:
+    """Replay a log from the births of levels 2..N at log.t_start and record
+    the exact length path.
 
-    The initial state must sit at the log's window start and share its N.
+    The start goes through :func:`~kingman.lookdown._check_start`, the check
+    :func:`~kingman.lookdown.resolve_final_state` also makes; the caller's
+    births are read, never changed.
     Each event pops the birth at level N (the exiting line), inserts the
     event time at the target level, and drops the length by the exiting
     line's age; when that line was the oldest, the root stem also shortens
@@ -146,20 +147,14 @@ def build_path(
     Each jump size is the exiting line's age plus its root-stem correction;
     the ages are formed in the buffer that held the exiting births.
     """
-    if initial_state.N != log.N:
-        raise ValueError("state and log disagree on N")
-    if initial_state.now != log.t_start:
-        raise ValueError(
-            f"state at {initial_state.now} does not start the window {log.t_start}"
-        )
-    v0 = tree_length(initial_state.births, initial_state.now)
+    births = _check_start(initial_births, log).tolist()
+    v0 = tree_length(births, log.t_start)
     if compensated:
         v0 -= 2.0 * math.log(log.N)
     n = log.n_events
     exited = np.empty(n)  # exiting births, then the jump sizes
     fixes = np.zeros(n)  # root-stem corrections
     flags = np.zeros(n, dtype=bool)
-    births = list(initial_state.births)
     oldest = min(births)
     # The log is read as Python floats and ints one slice at a time, so
     # its list copies stay a fixed size however long the log is.
@@ -193,10 +188,10 @@ def build_path(
 
 def stationary_path(n: int, window: tuple[float, float], stream: RngStream) -> TreeLengthPath:
     """The compensated length path of n levels on `window`, started from
-    stationarity. The one draw order: the stationary state at the window's
+    stationarity. The one draw order: the stationary births at the window's
     start, then the window's events."""
-    state = sample_stationary_state(n, window[0], stream)
-    return build_path(state, simulate_events(n, window, stream), compensated=True)
+    births = stationary_births(n, window[0], stream)
+    return build_path(births, simulate_events(n, window, stream), compensated=True)
 
 
 def reconstruct_length_backward(log: EventLog, t: float) -> float:

@@ -1,16 +1,19 @@
 """CLI, config file, and SVG emitter tests."""
 
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import math
+import pkgutil
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import kingman
 from kingman import experiments
 from kingman.cli import (
     _FLAGS, UsageError, _replayed_corners, _write_path_csv, _write_report, main,
@@ -217,6 +220,18 @@ def test_window_too_coarse_for_its_events_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_far_qv_scan_window_is_a_usage_error_at_every_seed(tmp_path, capsys, seed):
+    # At rate C(100, 2) the doubles near 1e12 read rate * ulp = 0.60: the
+    # check refuses the window before any draw, whatever the seed.
+    out = tmp_path / "qv.json"
+    assert main(["qv-scan", "--t0", "1e12", "--t1", "1000000000001", "--n", "100",
+                 "--n-grid", "50,100", "--reps", "2", "--seed", seed,
+                 "--out", str(out)]) == 2
+    assert "too coarse to separate tied Poisson arrivals" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_path_requires_out():
     assert main(["simulate-path", "--n", "10"]) == 2
 
@@ -341,6 +356,15 @@ def test_each_flag_sets_its_parameter(tmp_path, name, argv, expected):
     params = json.loads(out.read_text())["params"]
     # every other parameter keeps its default
     assert params == {**json.loads(json.dumps(DEFAULTS[name])), **expected}
+
+
+@pytest.mark.parametrize("module", sorted(
+    info.name for info in pkgutil.iter_modules(kingman.__path__, "kingman.")
+))
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_flag_table_matches_runner_parameters():

@@ -5,7 +5,6 @@ checks use bands of at least three standard errors around exact
 expectations, with seeds fixed so runs are deterministic.
 """
 
-import dataclasses
 import hashlib
 import math
 
@@ -19,7 +18,6 @@ from kingman import lookdown
 from kingman.lookdown import (
     GAMMA_TAIL_LEVEL,
     EventLog,
-    LookdownState,
     PointProcessSample,
     SequencingError,
     _assign_levels,
@@ -32,7 +30,6 @@ from kingman.lookdown import (
     sample_infinite_deaths,
     sample_lifelengths,
     sample_lifelengths_gamma_tail,
-    sample_stationary_state,
     simulate_events,
     stationary_births,
     _trigamma,
@@ -121,6 +118,8 @@ def test_eventlog_validation():
         EventLog(3, 0.0, 1.0, np.array([0.5]), np.array([2, 3]))
     with pytest.raises(ValueError):
         EventLog(3, 1.0, 0.0, np.empty(0), np.empty(0, np.int64))
+    with pytest.raises(ValueError, match="N must be at least 2"):
+        EventLog(1, 0.0, 1.0, np.empty(0), np.empty(0, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +148,31 @@ def test_step_low_target_shifts_and_exits():
     # Level 2 holds the oldest line (0.2). A birth at level 2 pushes it to
     # level 3 while the level-3 line (0.5) exits; the next event, at the top
     # level, then removes the pushed line, which is the root correction.
-    state = LookdownState(3, 0.5, [0.2, 0.5])
+    start = [0.2, 0.5]
     log = _log(3, 0.5, 2.0, [1.0, 1.5], [2, 3])
-    path = build_path(state, log)
+    path = build_path(start, log)
     assert path.root_flags.tolist() == [False, True]
     # Each jump is the exit age, plus the stem shortening at a root exit.
     assert path.jump_sizes.tolist() == [1.0 - 0.5, (1.5 - 0.2) + (1.0 - 0.2)]
-    assert resolve_final_state(log, state.births).tolist() == [1.0, 1.5]
+    assert resolve_final_state(log, start).tolist() == [1.0, 1.5]
     # l(2) = 2 * 2 - (1.0 + 1.5) + (2 - 1.0)
     assert path.final_value == pytest.approx(2.5, abs=1e-12)
 
 
 def test_step_top_target_replaces_exiting_line():
-    state = LookdownState(3, 0.5, [0.5, 0.2])
+    start = [0.5, 0.2]
     log = _log(3, 0.5, 1.0, [1.0], [3])
-    path = build_path(state, log)
+    path = build_path(start, log)
     assert path.root_flags.tolist() == [True]
     assert path.jump_sizes.tolist() == [(1.0 - 0.2) + (0.5 - 0.2)]
-    assert resolve_final_state(log, state.births).tolist() == [0.5, 1.0]
+    assert resolve_final_state(log, start).tolist() == [0.5, 1.0]
 
 
 def test_step_rejects_stale_time_and_big_target():
-    state = LookdownState(3, 0.5, [0.5, 0.2])
     with pytest.raises(ValueError):
         _log(3, 0.5, 1.0, [0.5], [2])  # not after the window start
     with pytest.raises(ValueError):
-        build_path(state, _log(3, 0.0, 1.0, [0.3], [2]))  # starts before state
+        build_path([0.5, 0.2], _log(3, 0.0, 1.0, [0.3], [2]))  # born after its start
     with pytest.raises(SequencingError):
         _log(3, 0.5, 1.0, [0.8, 0.7], [2, 2])
     with pytest.raises(ValueError):
@@ -186,7 +184,7 @@ def test_replay_sequence_tracks_births_and_min():
     # exits remove a line tied with the oldest, so they are flagged as root
     # exits with a zero stem correction.
     log = _log(4, 0.0, 3.0, [1.0, 2.0, 3.0], [2, 4, 2])
-    path = build_path(LookdownState.degenerate(4, 0.0), log)
+    path = build_path([0.0] * 3, log)
     assert path.jump_sizes.tolist() == [1.0, 2.0, 1.0]  # the exit ages
     assert path.root_flags.tolist() == [True, True, False]
     assert resolve_final_state(log, [0.0] * 3).tolist() == [3.0, 1.0, 0.0]
@@ -194,24 +192,34 @@ def test_replay_sequence_tracks_births_and_min():
     assert path.final_value == 8.0
 
 
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        LookdownState(3, 0.0, [0.0])
-    with pytest.raises(ValueError):
-        LookdownState(3, 0.0, [0.1, 0.0])
-    with pytest.raises(ValueError):
-        LookdownState(1, 0.0, [])
-    state = LookdownState.degenerate(5, -2.0)
-    assert state.births == (-2.0,) * 4
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        state.now = 0.0
+@pytest.mark.parametrize("route", [
+    build_path, lambda births, log: resolve_final_state(log, births),
+], ids=["build_path", "resolve_final_state"])
+@pytest.mark.parametrize("births, problem", [
+    ([0.0], "need 2 birth times"),
+    ([0.0, 0.0, 0.0], "need 2 birth times"),
+    ([0.0, 0.6], "must not exceed the window start"),
+    ([math.nan, 0.0], "must not exceed the window start"),
+    ([0.5, -1.0], None),
+])
+def test_both_routes_check_the_start_alike(route, births, problem):
+    # A start is N - 1 births at or before the log's start, whichever way
+    # the log is read; the caller's array is left as it was.
+    log = _log(3, 0.5, 1.0, [0.75], [2])
+    start = np.array(births)
+    if problem is None:
+        route(start, log)
+        assert start.tolist() == births
+    else:
+        with pytest.raises(ValueError, match=problem):
+            route(start, log)
 
 
 def test_replay_matches_naive_reference():
     stream = make_stream(23, 1)
     log = simulate_events(8, (0.0, 4.0), stream)
     assert log.n_events > 60  # rate 28 over a span of 4
-    path = build_path(LookdownState.degenerate(8, 0.0), log)
+    path = build_path([0.0] * 7, log)
     births, sizes, flags = _naive_replay([0.0] * 7, log)
     assert np.array_equal(path.jump_sizes, sizes)
     assert np.array_equal(path.root_flags, flags)
@@ -513,12 +521,10 @@ def test_stationary_births_and_events_draw_order_is_pinned():
 
 def test_stationary_state_structure():
     stream = make_stream(41, 1)
-    state = sample_stationary_state(12, 3.0, stream)
-    births = np.array(state.births)
+    births = stationary_births(12, 3.0, stream)
     assert births.shape == (11,)
     assert np.all(births < 3.0)
     assert len(np.unique(births)) == 11
-    assert state.now == 3.0
 
 
 def test_stationary_tree_length_mean():
@@ -528,8 +534,8 @@ def test_stationary_tree_length_mean():
     reps = 6000
     lengths = np.empty(reps)
     for r in range(reps):
-        state = sample_stationary_state(11, 0.0, stream)
-        lengths[r] = tree_length(state.births, 0.0)
+        births = stationary_births(11, 0.0, stream)
+        lengths[r] = tree_length(births, 0.0)
     se = lengths.std(ddof=1) / math.sqrt(reps)
     assert abs(lengths.mean() - MEAN_LEN_11) < 3.5 * se
 
@@ -540,8 +546,8 @@ def test_stationary_tree_length_distribution():
     reps, n = 3000, 10
     lengths = np.empty(reps)
     for r in range(reps):
-        state = sample_stationary_state(n, 0.0, stream_a)
-        lengths[r] = tree_length(state.births, 0.0)
+        births = stationary_births(n, 0.0, stream_a)
+        lengths[r] = tree_length(births, 0.0)
     k = np.arange(2, n + 1, dtype=np.float64)
     gaps = stream_b.generator.standard_exponential((reps, n - 1)) / (k * (k - 1) / 2.0)
     static = gaps @ k

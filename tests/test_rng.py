@@ -98,6 +98,16 @@ def test_poisson_times_rejects_reversed_window_and_bad_rate():
         sample_poisson_times(stream, 0.0, (0.0, 1.0))
 
 
+def test_poisson_times_rejects_a_window_too_coarse_for_its_rate():
+    # Near 1e12 the doubles are 1.2e-4 apart; at rate C(100, 2) that is
+    # rate * ulp = 0.60, far above 2**-20. The window is refused before
+    # any draw, so the stream is left where it was.
+    stream, fresh = make_stream(3, 6), make_stream(3, 6)
+    with pytest.raises(ValueError, match="too coarse to separate tied Poisson"):
+        sample_poisson_times(stream, 4950.0, (1e12, 1e12 + 1.0))
+    assert stream.generator.random() == fresh.generator.random()
+
+
 def test_poisson_times_strictly_increasing_in_window():
     stream = make_stream(9, 11)
     for _ in range(50):

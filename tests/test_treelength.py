@@ -9,12 +9,10 @@ import pytest
 
 from kingman.lookdown import (
     EventLog,
-    LookdownState,
     SequencingError,
     _assign_levels,
     decode_target,
     resolve_final_state,
-    sample_stationary_state,
     simulate_events,
     stationary_births,
 )
@@ -40,13 +38,13 @@ def test_tree_length_hand_value():
     # Ages 0.5 and 0.8, plus the root stem back to the oldest birth 0.2.
     assert tree_length((0.5, 0.2), 1.0) == pytest.approx(2.1, abs=1e-12)
     assert tree_length(np.array([0.5, 0.2]), 1.0) == tree_length([0.5, 0.2], 1.0)
-    assert tree_length(LookdownState.degenerate(9, 4.0).births, 4.0) == 0.0
+    assert tree_length([4.0] * 8, 4.0) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 1000])
 def test_tree_length_reads_arrays_and_lists_alike(n):
     # The same doubles as fsum and min over the array's numpy scalars.
-    births = np.array(sample_stationary_state(n, 0.0, make_stream(17, n)).births)
+    births = stationary_births(n, 0.0, make_stream(17, n))
     t = 0.75
     scalar_route = len(births) * t - math.fsum(births) + (t - min(births))
     from_array = tree_length(births, t)
@@ -60,7 +58,7 @@ def test_path_matches_replayed_state_everywhere():
     # events up to t and compute the length from them directly.
     stream = make_stream(53, 0)
     log = simulate_events(7, (0.0, 3.0), stream)
-    start = LookdownState.degenerate(7, 0.0)
+    start = np.zeros(6)
     path = build_path(start, log)
     assert path.n_jumps == log.n_events
     assert np.array_equal(path.jump_times, log.times)
@@ -68,7 +66,7 @@ def test_path_matches_replayed_state_everywhere():
     for t in times:
         upto = log.times <= t
         head = EventLog(7, 0.0, float(t), log.times[upto], log.targets[upto])
-        births = resolve_final_state(head, start.births)
+        births = resolve_final_state(head, start)
         direct = 6 * t - births.sum() + (t - births.min())
         assert path.eval(t) == pytest.approx(direct, rel=1e-11, abs=1e-11)
 
@@ -79,7 +77,7 @@ def test_two_line_jump_law():
     stream = make_stream(53, 2)
     log = simulate_events(2, (0.0, 5.0), stream)
     assert log.n_events > 0
-    path = build_path(LookdownState.degenerate(2, 0.0), log)
+    path = build_path([0.0], log)
     assert bool(path.root_flags.all())
     # The exit age and the stem shortening are both the last inter-event gap.
     gaps = np.diff(np.concatenate([[0.0], log.times]))
@@ -89,7 +87,7 @@ def test_two_line_jump_law():
 def test_drift_between_jumps_is_exactly_n():
     stream = make_stream(53, 3)
     log = simulate_events(6, (0.0, 2.0), stream)
-    path = build_path(LookdownState.degenerate(6, 0.0), log)
+    path = build_path(np.zeros(5), log)
     taus = path.jump_times
     widest = int(np.argmax(np.diff(taus)))
     a, b = taus[widest], taus[widest + 1]
@@ -98,13 +96,13 @@ def test_drift_between_jumps_is_exactly_n():
 
 
 def test_root_correction_anatomy():
-    state = LookdownState(3, 0.5, [0.5, 0.2])
+    start = [0.5, 0.2]
     empty = EventLog(3, 0.5, 1.0, np.empty(0), np.empty(0, np.int64))
-    path = build_path(state, empty)
+    path = build_path(start, empty)
     assert path.v0 == pytest.approx(0.6, abs=1e-12)
     # Oldest line (birth 0.2 at level 3) exits: age 0.8, stem shortens 0.3.
     log = EventLog(3, 0.5, 1.2, np.array([1.0]), np.array([2]))
-    path2 = build_path(state, log)
+    path2 = build_path(start, log)
     assert path2.jump_times.tolist() == [1.0]
     assert path2.jump_sizes[0] == pytest.approx(0.8 + 0.3)
     assert path2.root_flags.tolist() == [True]
@@ -115,7 +113,7 @@ def test_root_correction_anatomy():
 def test_compensation_shifts_by_constant():
     stream = make_stream(53, 4)
     log = simulate_events(7, (0.0, 2.0), stream)
-    start = LookdownState.degenerate(7, 0.0)
+    start = np.zeros(6)
     plain = build_path(start, log)
     comp = build_path(start, log, compensated=True)
     shift = 2.0 * math.log(7)
@@ -124,15 +122,14 @@ def test_compensation_shifts_by_constant():
 
 
 def test_build_path_validates_alignment():
-    stream = make_stream(53, 5)
-    log = simulate_events(5, (0.0, 1.0), stream)
-    with pytest.raises(ValueError):
-        build_path(LookdownState.degenerate(6, 0.0), log)
-    with pytest.raises(ValueError):
-        build_path(LookdownState.degenerate(5, -1.0), log)
-    state = LookdownState.degenerate(5, 0.0)
-    build_path(state, log)
-    assert state == LookdownState.degenerate(5, 0.0)  # caller's state untouched
+    # The start must hold a birth for each of levels 2..N of the log. An
+    # array carries no time of its own, so births all before the log's
+    # start are a valid start whose lines are already aged.
+    log = simulate_events(5, (0.0, 1.0), make_stream(53, 5))
+    with pytest.raises(ValueError, match="need 4 birth times"):
+        build_path(np.zeros(5), log)
+    aged = build_path(np.full(4, -1.0), log)
+    assert aged.v0 == 5.0  # four lines aged 1 and a root stem of 1
 
 
 def test_eval_domain_and_vectorization():
@@ -192,7 +189,7 @@ def test_log_and_path_share_one_time_check(times, problem):
 def test_replayed_path_shares_the_logs_read_only_times():
     log = simulate_events(200, (0.0, 5.0), make_stream(1, 7))
     assert log.n_events > 90_000
-    path = build_path(LookdownState.degenerate(200, 0.0), log)
+    path = build_path(np.zeros(199), log)
     assert np.shares_memory(path.jump_times, log.times)
     with pytest.raises(ValueError, match="read-only"):
         log.times[0] = 1.0
@@ -217,8 +214,8 @@ def _stored_cumsum_eval(path, t):
 ])
 def test_eval_matches_stored_cumsum_bit_for_bit(n, window, compensated):
     stream = make_stream(61, n)
-    state = sample_stationary_state(n, window[0], stream)
-    path = build_path(state, simulate_events(n, window, stream), compensated)
+    start = stationary_births(n, window[0], stream)
+    path = build_path(start, simulate_events(n, window, stream), compensated)
     times = path.jump_times
     mids = 0.5 * (np.concatenate(([path.t0], times[:-1])) + times)
     for query in (times, mids, np.array([path.t0, path.t1])):
@@ -237,8 +234,8 @@ def test_stationary_path_is_the_explicit_route(n, window, seed):
     # same place.
     ours, theirs = make_stream(seed, 0), make_stream(seed, 0)
     path = stationary_path(n, window, ours)
-    state = sample_stationary_state(n, window[0], theirs)
-    want = build_path(state, simulate_events(n, window, theirs), compensated=True)
+    start = stationary_births(n, window[0], theirs)
+    want = build_path(start, simulate_events(n, window, theirs), compensated=True)
     assert path.v0 == want.v0 and path.n_jumps == want.n_jumps > 0
     for name in ("jump_times", "jump_sizes", "root_flags"):
         assert getattr(path, name).tobytes() == getattr(want, name).tobytes()
@@ -250,7 +247,7 @@ def test_backward_reconstruction_matches_path():
     # the log, then compare the two independent computations of l(t).
     stream = make_stream(59, 0)
     log = simulate_events(50, (-40.0, 2.0), stream)
-    path = build_path(LookdownState.degenerate(50, -40.0), log)
+    path = build_path(np.full(49, -40.0), log)
     ts = make_stream(59, 1).generator.uniform(0.0, 2.0, size=50)
     for t in ts:
         want = reconstruct_length_backward(log, float(t))
@@ -414,9 +411,9 @@ def test_evolved_stationary_length_keeps_static_law():
     reps = 1500
     evolved = np.empty(reps)
     for r in range(reps):
-        state = sample_stationary_state(12, 0.0, stream_a)
+        start = stationary_births(12, 0.0, stream_a)
         log = simulate_events(12, (0.0, 3.0), stream_a)
-        evolved[r] = build_path(state, log).final_value
+        evolved[r] = build_path(start, log).final_value
     static = sample_static_kingman_length(12, stream_b, size=reps)
     assert ks_test_two_sample(evolved, static).p_value > 1e-3
 
