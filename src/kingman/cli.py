@@ -31,7 +31,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .experiments import DEFAULTS, EXPERIMENTS, ORDINALS, _resolve, _stream, _window
+from .experiments import (
+    DEFAULTS, EXPERIMENTS, ORDINALS, _PER_REPLICATE, _resolve, _stream, _window,
+)
 from .reports import ExperimentReport, format_value, write_header_comments
 from .rng import GENERATOR_ID
 from .svg import emit_svg
@@ -99,7 +101,7 @@ _COMMON = {
     "svg": (_parse_bool, False, "also write an SVG plot"),
     "format": (_parse_format, "json", "report format, csv or json (default json)"),
     "workers": (int, None, "worker process count (default: every usable CPU "
-                "for poisson-deaths and divergence, 1 for the others)"),
+                f"for {' and '.join(_PER_REPLICATE)}, 1 for the others)"),
 }
 
 

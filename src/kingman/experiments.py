@@ -221,6 +221,12 @@ def _new_report(name: str, params: dict, seed: int) -> ExperimentReport:
     return report
 
 
+def _call(job):
+    """Run one (fn, args) job."""
+    fn, args = job
+    return fn(*args)
+
+
 def _map_blocks(jobs: list, workers: int) -> list:
     """Call fn(*args) for each (fn, args) job, returning results in job order.
 
@@ -230,18 +236,13 @@ def _map_blocks(jobs: list, workers: int) -> list:
     for them.
     """
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(*args) for fn, args in jobs]
+        return [_call(job) for job in jobs]
     # Imported here: it pulls in multiprocessing, which a one-worker run
     # never needs.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in jobs]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        return list(pool.map(_call, jobs))
 
 
 def _split(total: int, block: int) -> list[tuple[int, int]]:
@@ -424,7 +425,10 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
     rate (level - 1) (mean count z score), exponential gaps (per-replicate
     KS rejection fraction), and unit dispersion (info only); counts across
     levels are checked for vanishing pairwise correlation. Verdicts report
-    the signed worst case, which is a cell of the levels table.
+    the signed worst case, which is a cell of the levels table. A gate that
+    tested nothing is inconclusive: the gap gate when no replicate of any
+    level has enough gaps for a KS test, the correlation gate when fewer
+    than two levels' counts vary.
     """
     params = _resolve("poisson-deaths", {
         "max_level": max_level, "window": window, "reps": reps,
@@ -482,14 +486,18 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
         _band_status(worst_z, 0.0, z_max),
     )
     rej_max = float(params["max_gap_rejection"])
-    report.add_verdict(
-        "gap_rejection_bounded", worst_rej, alpha, rej_max,
-        "pass" if worst_rej <= rej_max else "fail",
-    )
+    if not any(s.n_valid_gap_reps for s in suites):
+        rej_status = "inconclusive"
+    else:
+        rej_status = "pass" if worst_rej <= rej_max else "fail"
+    report.add_verdict("gap_rejection_bounded", worst_rej, alpha, rej_max, rej_status)
     corr_max = float(params["max_abs_correlation"])
+    if len(levels) - len(indep.degenerate_levels) < 2:
+        corr_status = "inconclusive"
+    else:
+        corr_status = "pass" if indep.max_abs_correlation < corr_max else "fail"
     report.add_verdict(
-        "counts_uncorrelated", indep.max_abs_correlation, 0.0, corr_max,
-        "pass" if indep.max_abs_correlation < corr_max else "fail",
+        "counts_uncorrelated", indep.max_abs_correlation, 0.0, corr_max, corr_status,
     )
     report.add_verdict("dispersion_worst_z", worst_disp, 0.0, None, "info")
     return report
@@ -613,8 +621,9 @@ def run_divergence(seed: int = 0, k_grid=None,
 # ---------------------------------------------------------------------------
 
 def _required_mesh_level(n: int, span: float, factor: float) -> int:
-    """Dyadic level whose cell length is below 1/(factor * C(n,2))."""
-    return int(math.ceil(math.log2(factor * pair_count(n) * span)))
+    """Least nonnegative dyadic level whose cell length is below
+    1/(factor * C(n,2)); 0 when one cell, the whole window, already is."""
+    return max(0, math.ceil(math.log2(factor * pair_count(n) * span)))
 
 
 def _qv_detail(seed, n, win, mesh_levels):
@@ -670,7 +679,7 @@ def run_qv_scan(seed: int = 0, n_grid=None,
         )
     grid_meshes = [_required_mesh_level(n, span, factor) for n in grid]
     # quadratic_variation checks these too; checked here so that no job starts.
-    if min(levels[0], grid_meshes[0]) < 0:
+    if levels[0] < 0:
         raise ValueError("dyadic level must be nonnegative")
     if max(levels[-1], grid_meshes[-1]) > MAX_DYADIC_LEVEL:
         raise ValueError(f"dyadic level must be at most {MAX_DYADIC_LEVEL}")
@@ -680,6 +689,11 @@ def run_qv_scan(seed: int = 0, n_grid=None,
              for i, (n, mesh) in enumerate(zip(grid, grid_meshes))]
     results = _map_blocks(jobs, _workers("qv-scan", workers))
     (mesh_rows, jump_sq, n_jumps), *grid_qvs = results
+    if n_jumps == 0:
+        raise ValueError(
+            f"the detail path (detail_n={nd}) has no jumps in the window, so its "
+            "QV has nothing to match; widen the window or raise detail_n"
+        )
     finest_qv = float(mesh_rows[-1][1])
     rel_gap = abs(finest_qv - jump_sq) / jump_sq
     report.add_table(
@@ -748,9 +762,6 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
         raise ValueError("n_levels must be at least 2")
     if not eps_list:
         raise ValueError("epsilons must be non-empty")
-    if len(set(eps_list)) < len(eps_list):
-        # A repeat would find the same streams and report the same draws twice.
-        raise ValueError("epsilons must not repeat")
     for eps in eps_list:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")

@@ -180,12 +180,7 @@ def simulate_events(
     if N < 2:
         raise ValueError("N must be at least 2")
     a, b = float(window[0]), float(window[1])
-    if a > b:
-        raise ValueError(f"window start {a} exceeds end {b}")
-    if a == b:
-        return EventLog(N, a, b, np.empty(0), np.empty(0, dtype=np.int64))
-    rate = float(pair_count(N))
-    times = sample_poisson_times(stream, rate, (a, b))
+    times = sample_poisson_times(stream, float(pair_count(N)), (a, b))
     codes = stream.generator.integers(0, pair_count(N), size=times.size)
     return EventLog(N=N, t_start=a, t_end=b, times=times, targets=decode_target(codes))
 

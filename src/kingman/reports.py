@@ -9,9 +9,8 @@ as leading '# key=value' comment lines.
 from __future__ import annotations
 
 import io
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "ExperimentReport",
@@ -41,11 +40,6 @@ def write_header_comments(fp: io.TextIOBase, meta: dict) -> None:
 # Structured experiment reports
 # ---------------------------------------------------------------------------
 
-# Encoder chunks joined per write by ExperimentReport.write_json. A chunk is
-# a key, a value or an indent, so one batch is a few tens of kB of strings.
-_JSON_BATCH = 1024
-
-
 @dataclass(frozen=True)
 class Verdict:
     """One named check inside an experiment.
@@ -73,14 +67,7 @@ class Verdict:
         return self.status != "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "observed": self.observed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass
@@ -148,20 +135,15 @@ class ExperimentReport:
     def write_json(self, fp: io.TextIOBase) -> None:
         """Write the report as indent-2 JSON and a closing newline.
 
-        The encoder's chunks go out in batches of _JSON_BATCH, so the text
-        is never held whole: a 10^4-row table costs tens of kB above the
-        report itself, not the 2 MB of the joined text and its chunk list.
+        json.dump writes each encoder chunk as it is made, so the text is
+        never held whole.
         """
-        chunks = json.JSONEncoder(indent=2).iterencode(self.to_dict())
-        while batch := "".join(itertools.islice(chunks, _JSON_BATCH)):
-            fp.write(batch)
+        json.dump(self.to_dict(), fp, indent=2)
         fp.write("\n")
 
     def to_json(self) -> str:
         """The text :meth:`write_json` writes, as one string."""
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def write_table_csv(self, fp: io.TextIOBase, name: str) -> None:
         t = self.table(name)

@@ -253,14 +253,30 @@ def test_exit_codes(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["qv-scan", "--mesh-levels=-2,20", "--n", "50", "--n-grid", "50,100",
      "--reps", "2"],
-    # A window this short asks the grid part for a negative dyadic level.
-    ["qv-scan", "--t0", "0", "--t1", "1e-6", "--mesh-levels", "0,20",
-     "--n", "50", "--n-grid", "50,100", "--reps", "2"],
 ])
 def test_negative_dyadic_level_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error: dyadic level must be nonnegative\n"
+
+
+def test_short_window_grid_sizes_use_mesh_level_0(tmp_path):
+    # One cell, the whole window, is already finer than n = 2 and 3 need; the
+    # run reaches its verdicts (exit 0 or 1) instead of a usage error.
+    out = tmp_path / "qv.json"
+    assert main(["qv-scan", "--n", "50", "--n-grid", "2,3", "--t1", "0.01",
+                 "--reps", "2", "--mesh-levels", "0,8", "--out", str(out)]) in (0, 1)
+    tables = json.loads(out.read_text())["tables"]
+    qv_by_n = next(t for t in tables if t["name"] == "qv_by_n")["rows"]
+    assert [row[:2] for row in qv_by_n] == [[2, 0], [3, 0]]
+
+
+def test_detail_path_without_jumps_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "qv.json"
+    assert main(["qv-scan", "--n", "2", "--n-grid", "50,100", "--t1", "0.01",
+                 "--reps", "2", "--mesh-levels", "0,10", "--out", str(out)]) == 2
+    assert "detail path (detail_n=2) has no jumps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dyadic_level_above_52_is_a_usage_error_before_any_job(monkeypatch, capsys):
@@ -385,6 +401,10 @@ def test_help_names_each_parameter_and_default(capsys):
     assert "start of window (default 0.0)" in text
     assert "n_grid (default 50,100,200,400,800)" in text
     assert "--levels" not in text
+    # The --workers default names every per-replicate runner; wrapping may
+    # split a line at any space or hyphen.
+    for name in experiments._PER_REPLICATE:
+        assert name in "".join(text.split())
 
 
 def test_config_file_rejects_unknown_and_malformed(tmp_path):
@@ -510,7 +530,7 @@ def _long_report(rows: int) -> ExperimentReport:
 
 
 def test_write_json_writes_the_to_json_text(tmp_path):
-    # One serializer: the file, streamed in many batches, holds exactly
+    # One serializer: the file, streamed chunk by chunk, holds exactly
     # to_json(), which is the indent-2 json.dumps text and a newline.
     report = _long_report(3000)
     out = tmp_path / "r.json"

@@ -41,3 +41,10 @@ def test_variance_ratio_prints_a_finite_ratio_per_step():
     rows = [ln.split() for ln in lines if ln.startswith("  0.")]
     assert [r[1] for r in rows] == ["8000", "12000", "20000"]
     assert all(math.isfinite(float(r[3])) and float(r[3]) > 0.0 for r in rows)
+
+
+def test_divergence_sweep_prints_a_finite_positive_slope():
+    lines = _run_demo("divergence_sweep.py").splitlines()
+    slopes = [ln.split()[-1] for ln in lines if ln.startswith("fitted slope")]
+    assert len(slopes) == 1
+    assert math.isfinite(float(slopes[0])) and float(slopes[0]) > 0.0

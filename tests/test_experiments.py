@@ -121,6 +121,16 @@ def test_poisson_deaths_validation():
         ex.run_poisson_deaths(seed=0, window=(1.0, 1.0))
 
 
+def test_poisson_deaths_gates_that_test_nothing_are_inconclusive():
+    # A window this short draws no death at all: no replicate has a gap to
+    # test and every level's counts are constant.
+    report = ex.run_poisson_deaths(seed=0, max_level=3, window=(0.0, 1e-6), reps=3)
+    assert [row[2] for row in report.table("levels")["rows"]] == [0.0, 0.0]
+    assert report.table("independence")["rows"][0][3] == 2
+    assert report.verdict("gap_rejection_bounded").status == "inconclusive"
+    assert report.verdict("counts_uncorrelated").status == "inconclusive"
+
+
 def test_divergence_slope_tracks_window_length():
     # doubling the window doubles the divergence slope
     report = ex.run_divergence(
@@ -276,9 +286,12 @@ def test_variance_scaling_validation():
         ex.run_variance_scaling(seed=0, epsilons=())
     with pytest.raises(ValueError):
         ex.run_variance_scaling(seed=0, epsilons=(1.5,), n_levels=50, reps=10)
-    # A repeated epsilon would reuse one epsilon's streams for two rows.
-    with pytest.raises(ValueError, match="repeat"):
-        ex.run_variance_scaling(seed=0, epsilons=(0.01, 0.01, 0.02), n_levels=50, reps=20)
+    # Epsilon i draws from streams numbered by its position, so a repeated
+    # epsilon is a valid input whose two rows hold different draws.
+    rows = ex.run_variance_scaling(seed=0, epsilons=(0.01, 0.01, 0.02), n_levels=50,
+                                   reps=20).table("scaling")["rows"]
+    assert rows[0][0] == rows[1][0] == 0.01
+    assert rows[0][1] != rows[1][1]
 
 
 def test_variance_scaling_checks_every_epsilon_before_any_job(monkeypatch):
@@ -365,9 +378,9 @@ def test_per_replicate_runners_are_byte_identical_at_any_worker_count(runner, kw
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Make ProcessPoolExecutor run each job at submission, so that no real
-    process starts, and return the worker counts asked for and the job
-    functions submitted."""
+    """Make ProcessPoolExecutor run its jobs inline, so that no real process
+    starts, and return the worker counts asked for and the job functions
+    submitted."""
     record = {"asked": [], "submitted": []}
 
     class InlinePool:
@@ -380,11 +393,10 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            record["submitted"].append(fn)
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            record["submitted"] += [job_fn for job_fn, _ in jobs]
+            return [fn(job) for job in jobs]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return record
