@@ -629,7 +629,21 @@ def test_emit_svg_streams_in_memory_independent_of_the_point_count(tmp_path):
 
 
 def test_emit_svg_degenerate_ranges_render():
-    doc = _svg([("flat", [(0.0, 3.0), (1.0, 3.0)])], title="t", x_label="x", y_label="y")
-    assert "<svg " in doc and "polyline" in doc
-    single = _svg([("dot", [(2.0, 2.0)])])
-    assert "polyline" in single
+    # Digests of a flat series (zero y range), a one-point series (both
+    # ranges zero) and a bare document (no <desc>, no title <text>).
+    cases = [
+        ([("flat", [(0.0, 3.0), (1.0, 3.0)])],
+         dict(title="t", x_label="x", y_label="y"),
+         "e1088b3f564fe11ed7b89303e961f12ac7840b7d2589136c12a7db80453a7827"),
+        ([("dot", [(2.0, 2.0)])],
+         dict(title="t", x_label="x", y_label="y", description="d"),
+         "ef19eb47080781e0c6bfa59166efd77ad7f8402466a9d3ea3394732dca4d5084"),
+        ([("a", [(0.0, 1.0), (1.0, 2.0), (2.0, 0.5)]), ("b", [(0.5, -1.0), (1.5, 4.0)])],
+         {},
+         "8ddc8fd09dc3f1916f9a8dd97465ae0a5976e095b47e1412fc80b8b775d0282c"),
+    ]
+    for series, labels, digest in cases:
+        doc = _svg(series, **labels)
+        assert "<svg " in doc and "polyline" in doc
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert "<desc>" not in doc and 'font-size="14"' not in doc
