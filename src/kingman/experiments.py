@@ -251,8 +251,10 @@ def _split(total: int, block: int) -> list[tuple[int, int]]:
     return [(lo, min(block, total - lo)) for lo in range(0, total, block)]
 
 
-# Runners whose every replicate owns its stream. At their stock sizes a
-# process pool costs the other runners more than it saves them.
+# Runners whose every replicate owns its stream; the rest default to one
+# worker. On a 2-core host at the benchmark's sizes, going from 1 to 2
+# workers slowed qv-scan and gumbel in both of two probes, and crosscheck
+# and variance-scaling in one probe but not the other; CPU time rose in all.
 _PER_REPLICATE = ("poisson-deaths", "divergence")
 
 

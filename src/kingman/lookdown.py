@@ -454,14 +454,17 @@ def life_skewness(level: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma_shape_scale(level: int) -> tuple[float, float]:
-    """Shape m^2/v and scale v/m of the Gamma law with T_level's mean and variance.
+def _gamma_table(top: int) -> tuple[list[float], list[float]]:
+    """Shapes m^2/v and scales m/shape of the Gamma laws with T_k's mean and
+    variance, k = 2..top, as lists indexed by k - 2.
 
-    Cached: every divergence replicate asks for the same levels again.
+    One :func:`life_moments` call on the array of levels gives the same
+    doubles as one call per level. Cached: every divergence replicate asks
+    for the same levels again, and callers key it on a power of two.
     """
-    mean, var = life_moments(level)
-    shape = float(mean * mean / var)
-    return shape, float(mean) / shape
+    mean, var = life_moments(np.arange(2, top + 1))
+    shape = mean * mean / var
+    return shape.tolist(), (mean / shape).tolist()
 
 
 def sample_lifelengths_gamma_tail(
@@ -477,8 +480,10 @@ def sample_lifelengths_gamma_tail(
     :data:`GAMMA_TAIL_LEVEL`).
     """
     J = max(level, gamma_level)
-    shape, scale = _gamma_shape_scale(J)
-    tail = stream.generator.standard_gamma(shape, count) * scale
+    if J < 2:
+        raise ValueError("level must be at least 2")
+    shapes, scales = _gamma_table(1 << (J - 1).bit_length())
+    tail = stream.generator.standard_gamma(shapes[J - 2], count) * scales[J - 2]
     if J == level:
         return tail
     return sample_lifelengths(level, count, stream, J) - 2.0 / (J - 1) + tail

@@ -53,7 +53,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+    """A coordinate to two decimals; an int as it is (the title's y="20")."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}"
 
 
 def _point_chunks(points):
@@ -157,10 +158,22 @@ def emit_svg(
     def sy(y: float) -> float:
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    def put(line: str) -> None:
-        fp.write(line)
+    def put(fragment: str) -> None:
+        fp.write(fragment)
         fp.write("\n")
 
+    def line(x1, y1, x2, y2, color, width="1") -> None:
+        put(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{color}" stroke-width="{width}"/>'
+        )
+
+    def text(x, y, body, attrs="") -> None:
+        put(f'<text x="{_fmt(x)}" y="{_fmt(y)}"{attrs}>{_esc(body)}</text>')
+
+    middle = ' text-anchor="middle"'
+    bottom = _MARGIN_TOP + plot_h
+    right = _MARGIN_LEFT + plot_w
     put(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
@@ -175,61 +188,26 @@ def emit_svg(
         f'stroke="#444444" stroke-width="1"/>'
     )
     if title:
-        put(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
-            f'font-size="14">{_esc(title)}</text>'
-        )
+        text(_WIDTH / 2, 20, title, middle + ' font-size="14"')
 
     for tick in _nice_ticks(x_lo, x_hi):
-        if not x_lo <= tick <= x_hi:
-            continue
-        px = sx(tick)
-        put(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP)}" '
-            f'x2="{_fmt(px)}" y2="{_fmt(_MARGIN_TOP + plot_h)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        put(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
-            f'x2="{_fmt(px)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
-            f'stroke="#444444" stroke-width="1"/>'
-        )
-        put(
-            f'<text x="{_fmt(px)}" y="{_fmt(_MARGIN_TOP + plot_h + 18)}" '
-            f'text-anchor="middle">{tick:g}</text>'
-        )
+        if x_lo <= tick <= x_hi:
+            px = sx(tick)
+            line(px, _MARGIN_TOP, px, bottom, "#dddddd")
+            line(px, bottom, px, bottom + 5, "#444444")
+            text(px, bottom + 18, f"{tick:g}", middle)
     for tick in _nice_ticks(y_lo, y_hi):
-        if not y_lo <= tick <= y_hi:
-            continue
-        py = sy(tick)
-        put(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        put(
-            f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(py)}" '
-            f'stroke="#444444" stroke-width="1"/>'
-        )
-        put(
-            f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end">{tick:g}</text>'
-        )
+        if y_lo <= tick <= y_hi:
+            py = sy(tick)
+            line(_MARGIN_LEFT, py, right, py, "#dddddd")
+            line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py, "#444444")
+            text(_MARGIN_LEFT - 8, py + 4, f"{tick:g}", ' text-anchor="end"')
     if x_label:
-        put(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-            f'y="{_fmt(_HEIGHT - 10.0)}" text-anchor="middle">'
-            f"{_esc(x_label)}</text>"
-        )
+        text(_MARGIN_LEFT + plot_w / 2, _HEIGHT - 10.0, x_label, middle)
     if y_label:
-        cx = 16.0
-        cy = _MARGIN_TOP + plot_h / 2
-        put(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-            f"{_esc(y_label)}</text>"
-        )
+        cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
+        rotate = f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'
+        text(cx, cy, y_label, middle + rotate)
 
     for idx, (label, chunks) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -237,18 +215,10 @@ def emit_svg(
         fp.writelines(_coords(chunks, sx, sy))
         put(f'" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
-    legend_x = _MARGIN_LEFT + plot_w - 150.0
+    legend_x = right - 150.0
     legend_y = _MARGIN_TOP + 10.0
     for idx, (label, _) in enumerate(cleaned):
-        color = _PALETTE[idx % len(_PALETTE)]
         ly = legend_y + 16.0 * idx
-        put(
-            f'<line x1="{_fmt(legend_x)}" y1="{_fmt(ly)}" '
-            f'x2="{_fmt(legend_x + 22)}" y2="{_fmt(ly)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        put(
-            f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(ly + 4)}">'
-            f"{_esc(label)}</text>"
-        )
+        line(legend_x, ly, legend_x + 22, ly, _PALETTE[idx % len(_PALETTE)], "2")
+        text(legend_x + 28, ly + 4, label)
     put("</svg>")

@@ -21,6 +21,7 @@ from kingman.lookdown import (
     PointProcessSample,
     SequencingError,
     _assign_levels,
+    _gamma_table,
     decode_target,
     default_burn_in,
     life_moments,
@@ -379,6 +380,16 @@ def test_gamma_tail_level_meets_skewness_bound():
     j = np.arange(20_000.0, 1.0, -1.0)
     kappa3 = np.sum(2.0 * (2.0 / (j * (j - 1.0))) ** 3)
     assert life_skewness(2) == pytest.approx(kappa3 / VAR_LIFE_2**1.5, rel=1e-12)
+
+
+def test_gamma_table_matches_scalar_life_moments():
+    # The table's one array call gives, bit for bit, the shape m^2/v and
+    # scale m/shape of scalar life_moments(k) at every level it serves.
+    shapes, scales = _gamma_table(4096)
+    for k in range(GAMMA_TAIL_LEVEL, 4097):
+        mean, var = life_moments(k)
+        shape = float(mean * mean / var)
+        assert (shapes[k - 2], scales[k - 2]) == (shape, float(mean) / shape)
 
 
 @pytest.mark.parametrize("level", [GAMMA_TAIL_LEVEL - 1, GAMMA_TAIL_LEVEL, 4096])
