@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 __all__ = [
@@ -39,7 +38,7 @@ def _nonfinite_as_null(v):
     null). A list, tuple or dict that holds none is returned itself, so a
     finite report is not copied."""
     if isinstance(v, float):
-        return v if math.isfinite(v) else None
+        return v if v - v == 0.0 else None  # v - v is nan for nan and +-inf
     if isinstance(v, dict):
         values = list(v.values())
         new = _nonfinite_as_null(values)

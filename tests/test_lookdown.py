@@ -417,8 +417,9 @@ def test_gamma_tail_lives_exact_moments():
         assert abs(draws.mean() - mean) < 4.0 * se
         assert draws.var(ddof=1) == pytest.approx(var, rel=0.02)
     assert sample_lifelengths_gamma_tail(3, 0, stream, GAMMA_TAIL_LEVEL).size == 0
-    with pytest.raises(ValueError):
-        sample_lifelengths_gamma_tail(1, 5, stream, GAMMA_TAIL_LEVEL)
+    for gamma_level in (GAMMA_TAIL_LEVEL, 1):
+        with pytest.raises(ValueError):
+            sample_lifelengths_gamma_tail(1, 5, stream, gamma_level)
 
 
 # ---------------------------------------------------------------------------
