@@ -1,11 +1,9 @@
 """Report plumbing: deterministic text formats shared by CSV/JSON outputs.
 
 Floats are written with Python's shortest round-trip repr so rereading a
-file reproduces the exact doubles. JSON reports are strict JSON (RFC 8259):
-a non-finite float is written as null, where CSV writes nan or inf. CSV
-files use ',' delimiters, '\\n' line endings, no quoting, and carry their
-provenance (seed, parameters, version) as leading '# key=value' comment
-lines.
+file reproduces the exact doubles. CSV files use ',' delimiters, '\\n' line
+endings, no quoting, and carry their provenance (seed, parameters, version)
+as leading '# key=value' comment lines.
 """
 
 from __future__ import annotations
@@ -31,24 +29,6 @@ def format_value(v) -> str:
         # float(): numpy 2 reprs a float64 as np.float64(...).
         return repr(float(v))
     return str(v)
-
-
-def _nonfinite_as_null(v):
-    """`v` with each non-finite float in it, at any depth, as None (JSON
-    null). A list, tuple or dict that holds none is returned itself, so a
-    finite report is not copied."""
-    if isinstance(v, float):
-        return v if v - v == 0.0 else None  # v - v is nan for nan and +-inf
-    if isinstance(v, dict):
-        values = list(v.values())
-        new = _nonfinite_as_null(values)
-        return v if new is values else dict(zip(v, new))
-    if isinstance(v, (list, tuple)):
-        for i, x in enumerate(v):
-            y = _nonfinite_as_null(x)
-            if y is not x:
-                return [*v[:i], y, *map(_nonfinite_as_null, v[i + 1:])]
-    return v
 
 
 def write_header_comments(fp: io.TextIOBase, meta: dict) -> None:
@@ -140,8 +120,7 @@ class ExperimentReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        """The report as JSON-ready values, each non-finite float as None."""
-        return _nonfinite_as_null({
+        return {
             "experiment": self.experiment,
             "params": self.params,
             "seed": self.seed,
@@ -151,7 +130,7 @@ class ExperimentReport:
             "tables": self.tables,
             "verdicts": [v.to_dict() for v in self.verdicts],
             "pass": self.passed,
-        })
+        }
 
     def write_json(self, fp: io.TextIOBase) -> None:
         """Write the report as indent-2 JSON and a closing newline.
@@ -159,12 +138,12 @@ class ExperimentReport:
         json.dump writes each encoder chunk as it is made, so the text is
         never held whole.
         """
-        json.dump(self.to_dict(), fp, indent=2, allow_nan=False)
+        json.dump(self.to_dict(), fp, indent=2)
         fp.write("\n")
 
     def to_json(self) -> str:
         """The text :meth:`write_json` writes, as one string."""
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def write_table_csv(self, fp: io.TextIOBase, name: str) -> None:
         t = self.table(name)

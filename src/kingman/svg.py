@@ -53,8 +53,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _fmt(v: float) -> str:
-    """A coordinate to two decimals; an int as it is (the title's y="20")."""
-    return str(v) if isinstance(v, int) else f"{v:.2f}"
+    return f"{v:.2f}"
 
 
 def _point_chunks(points):
@@ -168,8 +167,9 @@ def emit_svg(
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def text(x, y, body, attrs="") -> None:
-        put(f'<text x="{_fmt(x)}" y="{_fmt(y)}"{attrs}>{_esc(body)}</text>')
+    def text(x, y: str, body, attrs="") -> None:
+        # y comes formatted: the title's is a bare "20", not _fmt(20).
+        put(f'<text x="{_fmt(x)}" y="{y}"{attrs}>{_esc(body)}</text>')
 
     middle = ' text-anchor="middle"'
     bottom = _MARGIN_TOP + plot_h
@@ -188,26 +188,26 @@ def emit_svg(
         f'stroke="#444444" stroke-width="1"/>'
     )
     if title:
-        text(_WIDTH / 2, 20, title, middle + ' font-size="14"')
+        text(_WIDTH / 2, "20", title, middle + ' font-size="14"')
 
     for tick in _nice_ticks(x_lo, x_hi):
         if x_lo <= tick <= x_hi:
             px = sx(tick)
             line(px, _MARGIN_TOP, px, bottom, "#dddddd")
             line(px, bottom, px, bottom + 5, "#444444")
-            text(px, bottom + 18, f"{tick:g}", middle)
+            text(px, _fmt(bottom + 18), f"{tick:g}", middle)
     for tick in _nice_ticks(y_lo, y_hi):
         if y_lo <= tick <= y_hi:
             py = sy(tick)
             line(_MARGIN_LEFT, py, right, py, "#dddddd")
             line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py, "#444444")
-            text(_MARGIN_LEFT - 8, py + 4, f"{tick:g}", ' text-anchor="end"')
+            text(_MARGIN_LEFT - 8, _fmt(py + 4), f"{tick:g}", ' text-anchor="end"')
     if x_label:
-        text(_MARGIN_LEFT + plot_w / 2, _HEIGHT - 10.0, x_label, middle)
+        text(_MARGIN_LEFT + plot_w / 2, _fmt(_HEIGHT - 10.0), x_label, middle)
     if y_label:
         cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
         rotate = f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'
-        text(cx, cy, y_label, middle + rotate)
+        text(cx, _fmt(cy), y_label, middle + rotate)
 
     for idx, (label, chunks) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -220,5 +220,5 @@ def emit_svg(
     for idx, (label, _) in enumerate(cleaned):
         ly = legend_y + 16.0 * idx
         line(legend_x, ly, legend_x + 22, ly, _PALETTE[idx % len(_PALETTE)], "2")
-        text(legend_x + 28, ly + 4, label)
+        text(legend_x + 28, _fmt(ly + 4), label)
     put("</svg>")

@@ -542,30 +542,6 @@ def test_write_json_writes_the_to_json_text(tmp_path):
     assert json.loads(text)["tables"][0]["rows"] == report.tables[0]["rows"]
 
 
-def test_reports_are_strict_json_and_csv_keeps_nan(tmp_path):
-    # Three levels on a window of 1e-6 draw no death, so no level has a
-    # pooled gap KS: its p-value and the dispersion cells are NaN. The JSON
-    # report writes them as null and holds no NaN or Infinity token; the
-    # CSV table keeps nan.
-    argv = ["poisson-deaths", "--levels", "3", "--reps", "3", "--t1", "1e-6",
-            "--seed", "1"]
-    out = tmp_path / "deaths.json"
-    assert main(argv + ["--out", str(out)]) == 0
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
-    levels = next(t for t in report["tables"] if t["name"] == "levels")
-    p_col = levels["columns"].index("pooled_gap_p")
-    assert [row[p_col] for row in levels["rows"]] == [None, None]
-    observed = {v["name"]: v["observed"] for v in report["verdicts"]}
-    assert observed["dispersion_worst_z"] is None
-    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "d.csv")]) == 0
-    rows = (tmp_path / "d_levels.csv").read_text(encoding="utf-8").splitlines()
-    assert all(row.endswith(",nan") for row in rows[-2:])
-
-
 def test_write_json_memory_is_independent_of_the_report_size():
     # A 10^4-row report is about 0.5 MB of text; joined whole, the text and
     # its chunk list peak about 2.1 MB above the report itself.
