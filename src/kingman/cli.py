@@ -37,7 +37,7 @@ from .experiments import (
 from .reports import ExperimentReport, format_value, write_header_comments
 from .rng import GENERATOR_ID
 from .svg import emit_svg
-from .treelength import stationary_path
+from .treelength import TreeLengthPath, stationary_path
 
 __all__ = ["main", "read_config_file"]
 
@@ -301,17 +301,19 @@ _JUMP_BATCH = 1024
 class _PathCorners:
     """The (time, value) corner rows of a compensated length path, made
     chunk by chunk as they are read: the start, each jump's left limit and
-    landing value, and the end.
+    landing value, and the end. Only the path's ends, slope, jump times and
+    jump sizes are kept, so the path and its root flags can go.
 
     len() is the row count, 2 per jump plus 2. Iterating yields (k, 2)
     float arrays: the start row, the jump rows of `jump_rows`, the end
     row. It can be iterated again, and each pass makes the same doubles.
     """
 
-    def __init__(self, start: tuple[float, float], end: tuple[float, float],
-                 slope: float, jump_times: np.ndarray, jump_sizes: np.ndarray):
-        self.start, self.end, self.slope = start, end, slope
-        self.jump_times, self.jump_sizes = jump_times, jump_sizes
+    def __init__(self, path: TreeLengthPath):
+        self.start = (float(path.t0), float(path.v0))
+        self.end = (float(path.t1), float(path.final_value))
+        self.slope = path.slope
+        self.jump_times, self.jump_sizes = path.jump_times, path.jump_sizes
 
     def __len__(self) -> int:
         return 2 * self.jump_times.size + 2
@@ -348,23 +350,6 @@ class _PathCorners:
             yield rows
 
 
-def _replayed_corners(n: int, window: tuple[float, float], stream) -> _PathCorners:
-    """The corner rows of :func:`~kingman.treelength.stationary_path`.
-
-    The path, with its root flags (not drawn), goes once its ends, slope,
-    jump times and jump sizes are read; no row is made until the corners
-    are read.
-    """
-    path = stationary_path(n, window, stream)
-    return _PathCorners(
-        start=(float(path.t0), float(path.v0)),
-        end=(float(path.t1), float(path.final_value)),
-        slope=path.slope,
-        jump_times=path.jump_times,
-        jump_sizes=path.jump_sizes,
-    )
-
-
 def _write_path_csv(fp, corners: _PathCorners) -> None:
     """The corners as "time,value" rows, one write per chunk of jumps.
 
@@ -392,7 +377,7 @@ def _run_simulate_path(values: dict) -> int:
     t0, t1 = _window(params)
     if not values["out"]:
         raise UsageError("simulate-path requires --out")
-    corners = _replayed_corners(n, (t0, t1), _stream(seed, "simulate-path", 0))
+    corners = _PathCorners(stationary_path(n, (t0, t1), _stream(seed, "simulate-path", 0)))
     jumps = corners.jump_times.size  # each event is one jump
 
     out = _resolve_out(values["out"])

@@ -579,7 +579,8 @@ def run_divergence(seed: int = 0, k_grid=None,
     mean_t, var_t = life_moments(np.arange(2, grid[-1] + 1))
     per_level = (np.arange(1, grid[-1]) * (mean_t**2 + var_t)) * span
     expected_s = np.cumsum(per_level)[np.asarray(grid) - 2]
-    z_s = (mean_s - expected_s) / se_s
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero SE: +-inf, or nan
+        z_s = (mean_s - expected_s) / se_s
     slope, intercept, r2 = fit_log_slope(np.asarray(grid, float), mean_s)
     expected_slope = _LIMIT * span
     increasing = float(np.mean(np.all(np.diff(matrix, axis=1) > 0.0, axis=1)))

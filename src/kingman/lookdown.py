@@ -190,16 +190,17 @@ def simulate_events(
 # ---------------------------------------------------------------------------
 
 def _assign_levels(N: int, targets, times, rest=()) -> np.ndarray:
-    """Births of levels 2..N from (target, time) pairs, walked last to first.
+    """Births of levels 2..N from (target, time) pairs given latest first.
 
     The backward level assignment shared by both backward constructions:
-    each pair's time goes to the (target-1)-th smallest level among 2..N
-    that no later pair has filled. The levels left unfilled take the
-    values of `rest`, in level order.
+    walking the pairs in the order given, each pair's time goes to the
+    (target-1)-th smallest level among 2..N that no pair before it has
+    filled. The levels left unfilled take the values of `rest`, in level
+    order.
     """
     births = [0.0] * (N - 1)
     unresolved = list(range(N - 1))  # levels 2..N, 0-based
-    for k, t in zip(targets[::-1].tolist(), times[::-1].tolist()):
+    for k, t in zip(targets.tolist(), times.tolist()):
         births[unresolved.pop(k - 2)] = t
     for level, birth in zip(unresolved, rest):
         births[level] = birth
@@ -245,8 +246,7 @@ def stationary_births(N: int, t0: float, stream: RngStream) -> np.ndarray:
     depths = _merger_depths(stream.generator, 1, N)[0]
     pairs = pair_count(np.arange(N, 1, -1))
     targets = decode_target(stream.generator.integers(0, pairs))
-    # The deepest merger comes first in time.
-    return _assign_levels(N, targets[::-1], (t0 - depths)[::-1])
+    return _assign_levels(N, targets, t0 - depths)
 
 
 def sample_stationary_state(N: int, t0: float, stream: RngStream) -> np.ndarray:
@@ -313,7 +313,7 @@ def resolve_final_state(log: EventLog, initial_births) -> np.ndarray:
     :func:`_assign_levels`, the assignment :func:`stationary_births` uses.
     """
     initial = _check_start(initial_births, log)
-    hits = _block_shrinking_events(log.targets, log.n_events, log.N)[::-1]
+    hits = _block_shrinking_events(log.targets, log.n_events, log.N)
     return _assign_levels(log.N, log.targets[hits], log.times[hits], initial.tolist())
 
 
@@ -356,8 +356,6 @@ def sample_lifelengths(
         raise ValueError("truncation_level must be at least level")
     J = truncation_level
     tail = 2.0 / (J - 1)
-    if count == 0:
-        return np.empty(0)
     if J == level:
         return np.full(count, tail)
     width = J - level

@@ -33,10 +33,8 @@ _MARGIN_BOTTOM = 46.0
 _POINT_CHUNK = 2048
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if not hi > lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 5  # a step for about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

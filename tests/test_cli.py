@@ -16,13 +16,14 @@ import pytest
 import kingman
 from kingman import experiments
 from kingman.cli import (
-    _FLAGS, UsageError, _replayed_corners, _write_path_csv, _write_report, main,
+    _FLAGS, UsageError, _PathCorners, _write_path_csv, _write_report, main,
     read_config_file,
 )
 from kingman.experiments import DEFAULTS, EXPERIMENTS, ORDINALS
 from kingman.reports import ExperimentReport
 from kingman.rng import derive_stream_id, make_stream
 from kingman.svg import emit_svg
+from kingman.treelength import stationary_path
 
 
 def read_header_comments(fp, expected_header):
@@ -179,7 +180,7 @@ def test_simulate_path_writers_hold_no_corner_matrix(tmp_path):
     stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
     tracemalloc.start()
     try:
-        corners = _replayed_corners(200, (0.0, 5.0), stream)
+        corners = _PathCorners(stationary_path(200, (0.0, 5.0), stream))
         tracemalloc.reset_peak()
         with open(tmp_path / "path.csv", "w", encoding="utf-8") as fp:
             _write_path_csv(fp, corners)
@@ -611,7 +612,7 @@ def test_emit_svg_streams_in_memory_independent_of_the_point_count(tmp_path):
     # a document built in memory and then written needs twice its length
     # (5.3 MB).
     stream = make_stream(1, derive_stream_id(ORDINALS["simulate-path"], 0))
-    corners = _replayed_corners(200, (0.0, 5.0), stream)
+    corners = _PathCorners(stationary_path(200, (0.0, 5.0), stream))
     sink = tmp_path / "path.svg"
     with open(sink, "w", encoding="utf-8") as fp:
         tracemalloc.start()

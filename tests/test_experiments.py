@@ -198,6 +198,20 @@ def test_divergence_reports_exact_mean_and_gamma_tail():
     _assert_verdicts_reference_cells(report)
 
 
+def test_divergence_zero_se_z_is_infinite_without_a_warning():
+    # On a window of length 0.1 neither replicate has a death at levels 2
+    # and 4, so S(2) = S(4) = 0 in both: the SE is 0 and the mean lies
+    # below the exact mean.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ex.run_divergence(seed=5, k_grid=(2, 4, 8, 200), reps=2,
+                                   window=(0.0, 0.1))
+    rows = report.table("s_k")["rows"]
+    assert [row[4] for row in rows[:2]] == [-math.inf, -math.inf]
+    assert [row[2] for row in rows[:2]] == [0.0, 0.0]
+    assert report.verdict("mean_s_matches_expected_z").observed == -math.inf
+
+
 def test_divergence_validation():
     with pytest.raises(ValueError):
         ex.run_divergence(seed=0, k_grid=(4, 8, 16))

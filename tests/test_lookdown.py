@@ -493,10 +493,10 @@ def test_death_rate_equals_birth_rate():
 # ---------------------------------------------------------------------------
 
 def test_assign_levels_hand_example():
-    # Four levels, unresolved [2, 3, 4]. Walking the pairs last to first,
+    # Four levels, unresolved [2, 3, 4]. Walking the pairs latest first,
     # target 3 takes the 2nd smallest (level 3) at 0.9; target 2 then takes
-    # level 2 at 0.6; the first pair takes level 4 at 0.2.
-    got = _assign_levels(4, np.array([2, 2, 3]), np.array([0.2, 0.6, 0.9]))
+    # level 2 at 0.6; the last pair takes level 4 at 0.2.
+    got = _assign_levels(4, np.array([3, 2, 2]), np.array([0.9, 0.6, 0.2]))
     assert got.tolist() == [0.6, 0.9, 0.2]
     assert _assign_levels(2, np.array([2]), np.array([0.7])).tolist() == [0.7]
     # Five levels, one pair: target 3 takes level 3, and levels 2, 4, 5,

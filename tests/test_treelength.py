@@ -459,13 +459,13 @@ def test_stationary_increments_validation():
 def _literal_lower_steps(n, k, reps, stream):
     # Run the stationary construction's level assignment on step numbers in
     # place of times and read off the steps that landed on levels 2..k. The
-    # steps run backward in time, so the pairs are passed last step first.
+    # steps run backward in time, so the pairs go as drawn, latest first.
     m = np.arange(n, 1, -1, dtype=np.int64)
-    step_ids = np.arange(n - 2, -1, -1, dtype=np.float64)
+    step_ids = np.arange(n - 1, dtype=np.float64)
     out = np.empty((reps, k - 1))
     for r in range(reps):
         targets = decode_target(stream.generator.integers(0, m * (m - 1) // 2))
-        out[r] = np.sort(_assign_levels(n, targets[::-1], step_ids)[: k - 1])
+        out[r] = np.sort(_assign_levels(n, targets, step_ids)[: k - 1])
     return out
 
 
