@@ -281,8 +281,31 @@ def _replicate_jobs(fn, seed: int, total: int, block_reps: int, workers: int,
     return [(fn, (seed, lo, n, *args)) for lo, n in _split(total, size)]
 
 
-def _band_status(observed: float, target: float, tol: float) -> str:
-    return "pass" if abs(observed - target) <= tol else "fail"
+def _at_least(params: dict, key: str, floor: int) -> int:
+    """The integer parameter `key`, which must be at least `floor`."""
+    value = int(params[key])
+    if value < floor:
+        raise ValueError(f"{key} must be at least {floor}")
+    return value
+
+
+def _judged(passed, decided=True) -> str:
+    """A gate's status: inconclusive when it cannot decide, else pass or fail."""
+    if not decided:
+        return "inconclusive"
+    return "pass" if passed else "fail"
+
+
+def _band(report: ExperimentReport, name: str, observed, expected, tol) -> None:
+    """Add verdict `name`, which passes when observed is within tol of expected."""
+    report.add_verdict(name, observed, expected, tol,
+                       _judged(abs(observed - expected) <= tol))
+
+
+def _worst(values) -> float:
+    """The signed value of largest magnitude."""
+    values = np.asarray(values)
+    return float(values[np.argmax(np.abs(values))])
 
 
 def _window(params: dict) -> tuple[float, float]:
@@ -324,11 +347,7 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
     verdict `mean_z` states the relative error in standard errors.
     """
     params = _resolve("mean-length", {"n_leaves": n_leaves, "reps": reps})
-    n, total = int(params["n_leaves"]), int(params["reps"])
-    if n < 2:
-        raise ValueError("n_leaves must be at least 2")
-    if total < 2:
-        raise ValueError("reps must be at least 2")
+    n, total = _at_least(params, "n_leaves", 2), _at_least(params, "reps", 2)
     report = _new_report("mean-length", params, seed)
     jobs = [(_static_lengths, (seed, "mean-length", i, n, size))
             for i, (_, size) in enumerate(_split(total, params["block_reps"]))]
@@ -338,10 +357,7 @@ def run_mean_length(seed: int = 0, n_leaves: int | None = None,
     expected = 2.0 * math.fsum(1.0 / k for k in range(1, n))
     rel_err = abs(mean - expected) / expected
     rel_tol = float(params["rel_tol"])
-    if 2.0 * se > rel_tol * expected:
-        status = "inconclusive"
-    else:
-        status = "pass" if rel_err <= rel_tol else "fail"
+    status = _judged(rel_err <= rel_tol, not 2.0 * se > rel_tol * expected)
     mean_z = rel_err / (se / expected)
     report.add_table(
         "summary",
@@ -367,11 +383,7 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
     the pre-asymptotic regime.
     """
     params = _resolve("gumbel", {"n_leaves": n_leaves, "reps": reps})
-    n, total = int(params["n_leaves"]), int(params["reps"])
-    if n < 2:
-        raise ValueError("n_leaves must be at least 2")
-    if total < _KS_MIN_N:
-        raise ValueError(f"reps must be at least {_KS_MIN_N} for the KS test")
+    n, total = _at_least(params, "n_leaves", 2), _at_least(params, "reps", _KS_MIN_N)
     report = _new_report("gumbel", params, seed)
     jobs = [(_static_lengths, (seed, "gumbel", i, n, size))
             for i, (_, size) in enumerate(_split(total, params["block_reps"]))]
@@ -388,14 +400,9 @@ def run_gumbel(seed: int = 0, n_leaves: int | None = None,
     )
     d_max = float(params["max_ks_statistic"])
     p_min = float(params["min_ks_p"])
-    report.add_verdict(
-        "ks_statistic_small", res.statistic, 0.0, d_max,
-        "pass" if res.statistic <= d_max else "fail",
-    )
-    report.add_verdict(
-        "ks_p_not_tiny", res.p_value, None, p_min,
-        "pass" if res.p_value >= p_min else "fail",
-    )
+    _band(report, "ks_statistic_small", res.statistic, 0.0, d_max)
+    report.add_verdict("ks_p_not_tiny", res.p_value, None, p_min,
+                       _judged(res.p_value >= p_min))
     if n < int(params["asymptotic_min_leaves"]):
         report.add_verdict(
             "asymptotic_regime", float(n),
@@ -435,12 +442,7 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
     params = _resolve("poisson-deaths", {
         "max_level": max_level, "window": window, "reps": reps,
     })
-    top = int(params["max_level"])
-    total = int(params["reps"])
-    if top < 3:
-        raise ValueError("max_level must be at least 3")
-    if total < 3:
-        raise ValueError("reps must be at least 3")
+    top, total = _at_least(params, "max_level", 3), _at_least(params, "reps", 3)
     win = _window(params)
     report = _new_report("poisson-deaths", params, seed)
     tol = float(params["truncation_tol"])
@@ -477,31 +479,22 @@ def run_poisson_deaths(seed: int = 0, max_level: int | None = None,
         [[indep.max_abs_correlation, indep.argmax_pair[0],
           indep.argmax_pair[1], len(indep.degenerate_levels)]],
     )
-    count_zs = np.array([s.count_z for s in suites])
-    worst_z = float(count_zs[np.argmax(np.abs(count_zs))])
-    disp_zs = np.array([s.dispersion_z for s in suites])
-    worst_disp = float(disp_zs[np.argmax(np.abs(disp_zs))])
     worst_rej = max(s.gap_rejection_fraction for s in suites)
-    z_max = float(params["max_count_z"])
-    report.add_verdict(
-        "count_mean_within_band", worst_z, 0.0, z_max,
-        _band_status(worst_z, 0.0, z_max),
-    )
+    _band(report, "count_mean_within_band", _worst([s.count_z for s in suites]),
+          0.0, float(params["max_count_z"]))
     rej_max = float(params["max_gap_rejection"])
-    if not any(s.n_valid_gap_reps for s in suites):
-        rej_status = "inconclusive"
-    else:
-        rej_status = "pass" if worst_rej <= rej_max else "fail"
-    report.add_verdict("gap_rejection_bounded", worst_rej, alpha, rej_max, rej_status)
-    corr_max = float(params["max_abs_correlation"])
-    if len(levels) - len(indep.degenerate_levels) < 2:
-        corr_status = "inconclusive"
-    else:
-        corr_status = "pass" if indep.max_abs_correlation < corr_max else "fail"
     report.add_verdict(
-        "counts_uncorrelated", indep.max_abs_correlation, 0.0, corr_max, corr_status,
+        "gap_rejection_bounded", worst_rej, alpha, rej_max,
+        _judged(worst_rej <= rej_max, any(s.n_valid_gap_reps for s in suites)),
     )
-    report.add_verdict("dispersion_worst_z", worst_disp, 0.0, None, "info")
+    corr_max = float(params["max_abs_correlation"])
+    report.add_verdict(
+        "counts_uncorrelated", indep.max_abs_correlation, 0.0, corr_max,
+        _judged(indep.max_abs_correlation < corr_max,
+                len(levels) - len(indep.degenerate_levels) >= 2),
+    )
+    report.add_verdict("dispersion_worst_z", _worst([s.dispersion_z for s in suites]),
+                       0.0, None, "info")
     return report
 
 
@@ -560,14 +553,12 @@ def run_divergence(seed: int = 0, k_grid=None,
         "k_grid": k_grid, "window": window, "reps": reps,
     })
     grid = _increasing(params, "k_grid", 4)
-    total = int(params["reps"])
     if grid[0] < 2:
         raise ValueError("k_grid entries must be at least 2")
     if grid[-1] < 100 * grid[0]:
         raise ValueError("k_grid must span at least two decades")
     win = _window(params)
-    if total < 2:
-        raise ValueError("reps must be at least 2")
+    total = _at_least(params, "reps", 2)
     report = _new_report("divergence", params, seed)
     workers = _workers("divergence", workers)
     jobs = _replicate_jobs(_divergence_block, seed, total, params["block_reps"],
@@ -604,18 +595,10 @@ def run_divergence(seed: int = 0, k_grid=None,
         ["gamma_level", "skewness", "gamma_skewness", "skewness_mismatch"],
         [[GAMMA_TAIL_LEVEL, true_skew, gamma_skew, abs(true_skew - gamma_skew)]],
     )
-    rel_tol = float(params["slope_rel_tol"])
-    report.add_verdict(
-        "slope_matches_log_divergence", slope, expected_slope,
-        rel_tol * expected_slope,
-        _band_status(slope, expected_slope, rel_tol * expected_slope),
-    )
-    report.add_verdict(
-        "replicates_strictly_increasing", increasing, 1.0, 0.0,
-        "pass" if increasing == 1.0 else "fail",
-    )
-    worst_z = float(z_s[np.argmax(np.abs(z_s))])
-    report.add_verdict("mean_s_matches_expected_z", worst_z, 0.0, None, "info")
+    _band(report, "slope_matches_log_divergence", slope, expected_slope,
+          float(params["slope_rel_tol"]) * expected_slope)
+    _band(report, "replicates_strictly_increasing", increasing, 1.0, 0.0)
+    report.add_verdict("mean_s_matches_expected_z", _worst(z_s), 0.0, None, "info")
     return report
 
 
@@ -667,12 +650,10 @@ def run_qv_scan(seed: int = 0, n_grid=None,
     span = win[1] - win[0]
     grid = _increasing(params, "n_grid", 2)
     nd = int(params["detail_n"])
-    total = int(params["reps"])
     factor = float(params["mesh_factor"])
     if grid[0] < 2 or nd < 2:
         raise ValueError("system sizes must be at least 2")
-    if total < 2:
-        raise ValueError("reps must be at least 2")
+    total = _at_least(params, "reps", 2)
     levels = _increasing(params, "mesh_levels", 2)
     need = _required_mesh_level(nd, span, factor)
     if levels[-1] < need:
@@ -724,16 +705,10 @@ def run_qv_scan(seed: int = 0, n_grid=None,
         ["slope", "intercept", "r_squared", "expected_slope"],
         [[slope, intercept, r2, expected_slope]],
     )
-    detail_tol = float(params["detail_rel_tol"])
-    report.add_verdict(
-        "finest_qv_matches_jump_squares", rel_gap, 0.0, detail_tol,
-        "pass" if rel_gap <= detail_tol else "fail",
-    )
-    rel_tol = float(params["slope_rel_tol"])
-    report.add_verdict(
-        "qv_grows_like_log", slope, expected_slope, rel_tol * expected_slope,
-        _band_status(slope, expected_slope, rel_tol * expected_slope),
-    )
+    _band(report, "finest_qv_matches_jump_squares", rel_gap, 0.0,
+          float(params["detail_rel_tol"]))
+    _band(report, "qv_grows_like_log", slope, expected_slope,
+          float(params["slope_rel_tol"]) * expected_slope)
     return report
 
 
@@ -758,18 +733,14 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
     params = _resolve("variance-scaling", {
         "n_levels": n_levels, "epsilons": epsilons, "reps": reps,
     })
-    n = int(params["n_levels"])
+    n = _at_least(params, "n_levels", 2)
     eps_list = [float(e) for e in params["epsilons"]]
-    total = int(params["reps"])
-    if n < 2:
-        raise ValueError("n_levels must be at least 2")
     if not eps_list:
         raise ValueError("epsilons must be non-empty")
     for eps in eps_list:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-    if total < 2:
-        raise ValueError("reps must be at least 2")
+    total = _at_least(params, "reps", 2)
     report = _new_report("variance-scaling", params, seed)
     blocks = _split(total, params["block_reps"])
     # Epsilon i's blocks draw from streams i * len(blocks) + b and come back
@@ -787,8 +758,11 @@ def run_variance_scaling(seed: int = 0, n_levels: int | None = None,
     band = float(params["ratio_rel_tol"]) * _LIMIT
     informational = n < int(params["asymptotic_min_levels"])
     for i, (eps, ratio, _, _) in enumerate(rows):
-        status = "info" if informational else _band_status(ratio, _LIMIT, band)
-        report.add_verdict(f"ratio_near_limit_eps{i + 1}", ratio, _LIMIT, band, status)
+        name = f"ratio_near_limit_eps{i + 1}"
+        if informational:
+            report.add_verdict(name, ratio, _LIMIT, band, "info")
+        else:
+            _band(report, name, ratio, _LIMIT, band)
     return report
 
 
@@ -889,19 +863,11 @@ def run_crosscheck(seed: int = 0, n_leaves: int | None = None,
         [[nd, dist_reps, res.statistic, res.p_value]],
     )
     tol = float(params["max_rel_error"])
-    report.add_verdict(
-        "incremental_matches_reconstruction", max_rel, 0.0, tol,
-        "pass" if max_rel <= tol else "fail",
-    )
-    report.add_verdict(
-        "negative_control_detected", neg, None, tol,
-        "pass" if neg > tol else "fail",
-    )
+    _band(report, "incremental_matches_reconstruction", max_rel, 0.0, tol)
+    report.add_verdict("negative_control_detected", neg, None, tol, _judged(neg > tol))
     p_min = float(params["min_ks_p"])
-    report.add_verdict(
-        "evolved_matches_static_law", res.p_value, None, p_min,
-        "pass" if res.p_value >= p_min else "fail",
-    )
+    report.add_verdict("evolved_matches_static_law", res.p_value, None, p_min,
+                       _judged(res.p_value >= p_min))
     return report
 
 

@@ -46,7 +46,6 @@ _KS_TERM_FLOOR = 1e-10
 class KSResult:
     statistic: float
     p_value: float
-    n: int
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -89,7 +88,7 @@ def ks_test(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> KSRe
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     d = max(d_plus, d_minus)
-    return KSResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d), n=n)
+    return KSResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d))
 
 
 def ks_test_two_sample(a: np.ndarray, b: np.ndarray) -> KSResult:
@@ -107,7 +106,7 @@ def ks_test_two_sample(a: np.ndarray, b: np.ndarray) -> KSResult:
     cdf_b = np.searchsorted(b, pooled, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
-    return KSResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n_eff) * d), n=int(n_eff))
+    return KSResult(statistic=d, p_value=kolmogorov_sf(math.sqrt(n_eff) * d))
 
 
 def gumbel_cdf(x: np.ndarray | float) -> np.ndarray | float:

@@ -35,6 +35,8 @@ _POINT_CHUNK = 2048
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     raw = (hi - lo) / 5  # a step for about five ticks
+    if not 0.0 < raw < math.inf:
+        raise ValueError(f"cannot draw the range [{lo!r}, {hi!r}]")
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -46,6 +48,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # the step is below the spacing of doubles at v
+            break
         v += step
     return ticks
 
@@ -112,7 +116,10 @@ def emit_svg(
     it is made, polyline points at most 2048 at a time, so besides its
     input it holds one fragment's text, never the document.
 
-    Raises ValueError when no series or an empty series is supplied.
+    Raises ValueError, having written nothing, when no series or an
+    empty series is supplied, or when the x or y range, widened by 0.5
+    each way if it is one value, is still empty or is wider than doubles
+    hold.
     """
     series = list(series)
     if not series:
@@ -145,6 +152,8 @@ def emit_svg(
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo -= pad_y
     y_hi += pad_y
+    x_ticks = [t for t in _nice_ticks(x_lo, x_hi) if x_lo <= t <= x_hi]
+    y_ticks = [t for t in _nice_ticks(y_lo, y_hi) if y_lo <= t <= y_hi]
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -188,18 +197,16 @@ def emit_svg(
     if title:
         text(_WIDTH / 2, "20", title, middle + ' font-size="14"')
 
-    for tick in _nice_ticks(x_lo, x_hi):
-        if x_lo <= tick <= x_hi:
-            px = sx(tick)
-            line(px, _MARGIN_TOP, px, bottom, "#dddddd")
-            line(px, bottom, px, bottom + 5, "#444444")
-            text(px, _fmt(bottom + 18), f"{tick:g}", middle)
-    for tick in _nice_ticks(y_lo, y_hi):
-        if y_lo <= tick <= y_hi:
-            py = sy(tick)
-            line(_MARGIN_LEFT, py, right, py, "#dddddd")
-            line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py, "#444444")
-            text(_MARGIN_LEFT - 8, _fmt(py + 4), f"{tick:g}", ' text-anchor="end"')
+    for tick in x_ticks:
+        px = sx(tick)
+        line(px, _MARGIN_TOP, px, bottom, "#dddddd")
+        line(px, bottom, px, bottom + 5, "#444444")
+        text(px, _fmt(bottom + 18), f"{tick:g}", middle)
+    for tick in y_ticks:
+        py = sy(tick)
+        line(_MARGIN_LEFT, py, right, py, "#dddddd")
+        line(_MARGIN_LEFT - 5, py, _MARGIN_LEFT, py, "#444444")
+        text(_MARGIN_LEFT - 8, _fmt(py + 4), f"{tick:g}", ' text-anchor="end"')
     if x_label:
         text(_MARGIN_LEFT + plot_w / 2, _fmt(_HEIGHT - 10.0), x_label, middle)
     if y_label:

@@ -1,11 +1,24 @@
 """Shared test helpers."""
 
+import importlib.util
 import warnings
+from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
 
 from kingman.stats import ks_test_two_sample
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="session")
+def tracer():
+    """The benchmark tracer, perfbench/tracer.py, loaded as a module to read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

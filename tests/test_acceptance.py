@@ -13,9 +13,10 @@ those step sizes is not inside that band: it decays toward 4 only like
 4 + c/|ln eps| (c near 9), because lines living entirely inside the
 window cancel out of the increment and the surviving terms
 (root-corrected exits of old lines) contribute an O(1) excess per unit
-of |ln eps|. Measured with 2 * 10^5 replicates per step size: 6.40 +/-
-0.08, 6.16 +/- 0.14, 5.71 +/- 0.17 (Monte Carlo; the estimator is
-tail-heavy, so these standard errors run low). The exact ratios at
+of |ln eps|. Measured with 2 * 10^5 replicates per step size, by a probe
+that is no longer in the repository (ROADMAP item 10): 6.40 +/- 0.08,
+6.16 +/- 0.14, 5.71 +/- 0.17 (Monte Carlo; the estimator is tail-heavy,
+so these standard errors run low). The exact ratios at
 n = 10^4, from numerical Laplace inversion (ROADMAP item 2), are 6.619,
 5.954 and 5.535. An independent brute-force replay
 (stationary start, full event log, no shared code with the estimator)
@@ -23,7 +24,8 @@ agrees: ratio 6.63 +/- 0.94 at eps = 10^-1.5, two-sample KS p = 0.22 at
 eps = 10^-2.5. At the criterion's 10^4 replicates the estimator is
 tail-heavy (a single old-line exit can carry a fifth of the second
 moment), so individual runs scatter widely around those values; at
-seed 0 this run reports 6.193, 6.754, 6.135. The test asserts the band as
+seed 0 this run, reproducible with ``kingman variance-scaling --seed 0``,
+reports 6.193, 6.754, 6.135. The test asserts the band as
 written and fails; see README for the summary.
 """
 

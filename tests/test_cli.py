@@ -6,7 +6,10 @@ import inspect
 import io
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -576,6 +579,12 @@ def test_emit_svg_validation():
         [("flat", [0.0, 1.0, 2.0])],
         # A bad series after a good one: nothing is written for either.
         [("good", [(0.0, 1.0), (1.0, 2.0)]), ("empty", [])],
+        # Ranges doubles cannot draw: +-0.5 does not widen one value at
+        # 1e17, and a width of 2e308 overflows.
+        [("far", [(1e17, 1.0)])],
+        [("far", [(1.0, 1e17)])],
+        [("wide", [(-1e308, 0.0), (1e308, 1.0)])],
+        [("wide", [(0.0, -1e308), (1.0, 1e308)])],
     ]
     for series in bad_series:
         buf = io.StringIO()
@@ -648,3 +657,18 @@ def test_emit_svg_degenerate_ranges_render():
         assert "<svg " in doc and "polyline" in doc
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
     assert "<desc>" not in doc and 'font-size="14"' not in doc
+
+
+def test_emit_svg_ends_on_a_step_below_the_double_spacing():
+    # The one-point range [2^52 - 0.5, 2^52] has a tick step of 0.1, which
+    # adding to 2^52 - 0.5 does not move; run apart so a loop that never
+    # ends fails here instead of stalling the suite.
+    code = ("import io; from kingman.svg import emit_svg; "
+            "buf = io.StringIO(); emit_svg(buf, [('a', [(2.0**52, 1.0)])]); "
+            "print(buf.getvalue().count('<polyline'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kingman.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"

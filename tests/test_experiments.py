@@ -493,3 +493,39 @@ def test_ordinals_are_distinct():
     values = list(ex.ORDINALS.values())
     assert len(values) == len(set(values))
     assert set(ex.EXPERIMENTS) == set(ex.ORDINALS) - {"simulate-path"}
+
+
+# Verdicts whose fields do not state the rule they are judged by, with the
+# rule they are: gap_rejection_bounded's expected is alpha, but it passes on
+# observed <= tolerance; counts_uncorrelated and negative_control_detected
+# compare strictly.
+_OWN_RULES = {
+    "gap_rejection_bounded": lambda v: v.observed <= v.tolerance,
+    "counts_uncorrelated": lambda v: v.observed < v.tolerance,
+    "negative_control_detected": lambda v: v.observed > v.tolerance,
+}
+
+
+def test_verdicts_can_be_rejudged_from_their_fields():
+    # Sizes from the tests above; several verdicts fail at them.
+    reports = [
+        ex.run_mean_length(seed=2, n_leaves=20, reps=25000),
+        ex.run_gumbel(seed=1, n_leaves=10, reps=100),
+        ex.run_poisson_deaths(seed=3, max_level=8, window=(0.0, 4.0), reps=40),
+        ex.run_divergence(seed=6, k_grid=(4, 16, 64, 400), window=(0.0, 2.0), reps=30),
+        ex.run_qv_scan(seed=5, n_grid=(8, 16, 32), reps=4, detail_n=16,
+                       mesh_levels=(0, 2, 4, 6, 8, 11)),
+        ex.run_variance_scaling(seed=7, n_levels=1000, epsilons=(0.1,), reps=50),
+        ex.run_crosscheck(seed=2, n_leaves=2),
+    ]
+    judged = [v for r in reports for v in r.verdicts if v.status in ("pass", "fail")]
+    assert {v.status for v in judged} == {"pass", "fail"}
+    assert set(_OWN_RULES) <= {v.name for v in judged}
+    for v in judged:
+        if v.name in _OWN_RULES:
+            passed = _OWN_RULES[v.name](v)
+        elif v.expected is None:
+            passed = v.observed >= v.tolerance
+        else:
+            passed = abs(v.observed - v.expected) <= v.tolerance
+        assert (v.status == "pass") == passed, v

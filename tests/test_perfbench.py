@@ -7,7 +7,6 @@ name they look up dangling.
 """
 
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -17,13 +16,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class _Read(Exception):
@@ -39,8 +31,8 @@ class _ArgumentSpy(dict):
         raise _Read(key)
 
 
-def test_traced_layers_resolve_with_the_parameters_their_counters_read():
-    layers = _load_tracer().LAYERS
+def test_traced_layers_resolve_with_the_parameters_their_counters_read(tracer):
+    layers = tracer.LAYERS
     read = set()
     for name, (module_name, path, counter) in layers.items():
         target = importlib.import_module(module_name)

@@ -7,21 +7,12 @@ mention, fails.
 """
 
 import ast
-import importlib.util
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kingman"
 DEMOS = ROOT / "demos"
-TRACER = ROOT / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _definitions(node, prefix=""):
@@ -47,8 +38,8 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_every_definition_has_a_reader_outside_the_tests():
-    traced = {(module, path) for module, path, _ in _load_tracer().LAYERS.values()}
+def test_every_definition_has_a_reader_outside_the_tests(tracer):
+    traced = {(module, path) for module, path, _ in tracer.LAYERS.values()}
     modules = {
         "kingman" if f.stem == "__init__" else f"kingman.{f.stem}": _parse(f)
         for f in sorted(PACKAGE.glob("*.py"))
